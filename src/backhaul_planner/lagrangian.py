@@ -8,10 +8,23 @@ machine pickup, and SBSs are attached one at a time by the smallest exact
 change of the relaxed objective among direct-attach and chain-insertion
 moves. Every candidate change is an exact delta: applying it and recomputing
 the relaxed objective from scratch gives the same number.
+
+The greedy step is incremental, with exact invalidation. Each unattached SBS
+keeps its best move into every group: an open BAN (direct attach) or a chain
+(insert before or after any of its nodes). A move's delta is a pure function
+of three things only: its group's state (chain nodes with their assigned
+subareas, or the BAN's slot count), the fixed multipliers, and the SBS's
+count of uncovered subareas in reach (``avail``). A step changes one chain
+and at most one BAN's slots, so only those groups and the groups of SBSs
+whose ``avail`` changed are recomputed; every other cached delta is the
+number a full rescan would compute, bit for bit. ``Move.sort_key`` totally
+orders distinct moves, so the minimum over the cache is the move the full
+rescan picks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -248,6 +261,10 @@ class PathState:
     def uncovered_in_reach(self, i: int) -> int:
         return int(np.count_nonzero(self.ws.sbs_mask[i] & ~self.covered))
 
+    def uncovered_counts(self, sbss: list[int]) -> list[int]:
+        """``uncovered_in_reach`` of every station in ``sbss`` in one pass."""
+        return (self.ws.sbs_mask[sbss] & ~self.covered).sum(axis=1).tolist()
+
     # -- mutations ----------------------------------------------------------
 
     def attach_to_ban(self, i: int, k: int, r_new: int) -> None:
@@ -309,8 +326,10 @@ class Move:
     drops: tuple[int, ...] = ()
 
     def sort_key(self):
-        rank = {"ban": 0, "before": 1, "after": 2}[self.kind]
-        return (self.delta, self.sbs, rank, self.partner)
+        return (self.delta, self.sbs, _KIND_RANK[self.kind], self.partner)
+
+
+_KIND_RANK = {"ban": 0, "before": 1, "after": 2}
 
 
 def delta_attach_ban(state: PathState, i: int, k: int, avail: int) -> Optional[Move]:
@@ -410,6 +429,18 @@ class AssignResult:
     stranded_mas: tuple[int, ...]
 
 
+# sort key of "no legal move"; above every real key, as deltas are finite
+_NO_MOVE = (math.inf,)
+
+
+def _group_move(state: PathState, i: int, group, avail: int) -> Optional[Move]:
+    """Best move of ``i`` into one group: a BAN index or a chain."""
+    if isinstance(group, Chain):
+        moves = (_insert_delta(state, i, p, before, avail) for p in group.nodes for before in (True, False))
+        return min(filter(None, moves), key=Move.sort_key, default=None)
+    return delta_attach_ban(state, i, group, avail)
+
+
 def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> AssignResult:
     scenario = ws.scenario
     anchor = _anchor_phase(ws, deployment)
@@ -424,28 +455,61 @@ def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> 
     )
 
     unattached = [i for i in deployment.open_sbss() if ws.allow_sbs]
-    open_bans = deployment.open_bans()
-    attached: list[int] = []
+    # Groups are the open BANs (ints) followed by the chains in creation
+    # order. Per unattached SBS the cache holds its avail, its best move per
+    # group with that move's sort key, and the group of its least key. After
+    # a step only the touched groups, or all groups of an SBS whose avail
+    # changed, are recomputed (see the module docstring for why that is
+    # exact).
+    groups: list = deployment.open_bans()
+    group_of: dict[int, int] = {}  # id(chain) -> its index in groups
+    avail = dict(zip(unattached, state.uncovered_counts(unattached)))
+    moves: dict[int, list[Optional[Move]]] = {i: [None] * len(groups) for i in unattached}
+    keys: dict[int, list[tuple]] = {i: [_NO_MOVE] * len(groups) for i in unattached}
 
-    while unattached:
-        best: Optional[Move] = None
-        for i in unattached:
-            avail = state.uncovered_in_reach(i)
-            for k in open_bans:
-                move = delta_attach_ban(state, i, k, avail)
-                if move and (best is None or move.sort_key() < best.sort_key()):
-                    best = move
-            for p in attached:
-                for maker in (delta_insert_before, delta_insert_after):
-                    move = maker(state, i, p, avail)
-                    if move and (best is None or move.sort_key() < best.sort_key()):
-                        best = move
+    def refresh(i: int, dirty) -> None:
+        row, row_keys = moves[i], keys[i]
+        for g in dirty:
+            move = _group_move(state, i, groups[g], avail[i])
+            row[g] = move
+            row_keys[g] = move.sort_key() if move else _NO_MOVE
+
+    def argmin(i: int) -> int:
+        return min(range(len(groups)), key=keys[i].__getitem__)
+
+    for i in unattached:
+        refresh(i, range(len(groups)))
+    best_group = {i: argmin(i) for i in unattached} if groups else {}
+
+    while unattached and groups:
+        j = min(unattached, key=lambda i: keys[i][best_group[i]])
+        best = moves[j][best_group[j]]
         if best is None:
             break
         apply_move(state, best)
         value += best.delta
-        unattached.remove(best.sbs)
-        attached.append(best.sbs)
+        unattached.remove(j)
+        if not unattached:
+            break
+        chain = state.chain_of[j]
+        if best.kind == "ban":
+            group_of[id(chain)] = len(groups)
+            touched = (groups.index(best.partner), len(groups))
+            groups.append(chain)
+            for i in unattached:
+                moves[i].append(None)
+                keys[i].append(_NO_MOVE)
+        else:
+            touched = (group_of[id(chain)],)
+
+        for i, a in zip(unattached, state.uncovered_counts(unattached)):
+            dirty = touched
+            if a != avail[i]:
+                avail[i] = a
+                dirty = range(len(groups))
+            refresh(i, dirty)
+            old = best_group[i]
+            best_group[i] = argmin(i) if old in dirty else min((old, *dirty), key=keys[i].__getitem__)
 
     plan = ConnectionPlan(
         ban_cover=dict(state.ban_cover),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import random
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -33,6 +34,20 @@ class ScenarioFormatError(ValueError):
     def __init__(self, fieldname: str, message: str):
         self.fieldname = fieldname
         super().__init__(f"scenario field '{fieldname}': {message}")
+
+
+def _check_number(fieldname: str, value, *, integer: bool = False, minimum=None, above=None) -> None:
+    """Reject a non-number (bools included), NaN, an infinity, and a value
+    below ``minimum`` or not above ``above``; the error names the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        expected = "an integer" if integer else "a number"
+        raise ScenarioFormatError(fieldname, f"expected {expected}, got {value!r}")
+    if not math.isfinite(value):
+        raise ScenarioFormatError(fieldname, f"must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioFormatError(fieldname, f"must be at least {minimum}, got {value!r}")
+    if above is not None and value <= above:
+        raise ScenarioFormatError(fieldname, f"must be greater than {above}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,27 +99,60 @@ class RadioConfig:
     ma_range_m: float = 100.0
 
     def __post_init__(self):
+        """Fields are named as in the scenario file (``radio.<name>``)."""
+        for name, bounds in _RADIO_BOUNDS.items():
+            _check_number(f"radio.{name}", getattr(self, name), **bounds)
+        for role in ("access", "backhaul"):
+            link = getattr(self, role)
+            if not isinstance(link, LinkClassParams):
+                raise ScenarioFormatError(f"radio.{role}", f"expected link parameters, got {link!r}")
+            for name, bounds in _LINK_BOUNDS.items():
+                _check_number(f"radio.{role}.{name}", getattr(link, name), **bounds)
         expected = SPEED_OF_LIGHT / self.carrier_hz
-        if not math.isfinite(self.wavelength_m) or abs(self.wavelength_m - expected) > 1e-3 * expected:
-            raise ValueError(
+        if abs(self.wavelength_m - expected) > 1e-3 * expected:
+            raise ScenarioFormatError(
+                "radio.wavelength_m",
                 f"wavelength {self.wavelength_m} inconsistent with carrier "
-                f"{self.carrier_hz} (expected {expected:.6g})"
+                f"{self.carrier_hz} (expected {expected:.6g})",
             )
-        if not (0.0 < self.access_outage < 1.0):
-            raise ValueError("access_outage must lie in (0, 1)")
-        if not (0.0 < self.backhaul_outage < 1.0):
-            raise ValueError("backhaul_outage must lie in (0, 1)")
+        for name in ("access_outage", "backhaul_outage"):
+            if not (0.0 < getattr(self, name) < 1.0):
+                raise ScenarioFormatError(f"radio.{name}", "must lie in (0, 1)")
         if not (0.0 < self.compression_ratio <= 1.0):
-            raise ValueError("compression_ratio must lie in (0, 1]")
-        if self.mtc_weight < 0.0:
-            raise ValueError("mtc_weight must be nonnegative")
-        for name in ("ban_tx_dbm", "sbs_tx_dbm", "noise_dbm", "per_user_rate_bps"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            raise ScenarioFormatError("radio.compression_ratio", "must lie in (0, 1]")
 
     @classmethod
     def for_carrier(cls, carrier_hz: float, **overrides) -> "RadioConfig":
         return cls(carrier_hz=carrier_hz, wavelength_m=SPEED_OF_LIGHT / carrier_hz, **overrides)
+
+
+# Sign constraints of the numeric radio fields; every one must be finite.
+_RADIO_BOUNDS = {
+    "carrier_hz": {"above": 0.0},
+    "wavelength_m": {"above": 0.0},
+    "reference_m": {"above": 0.0},
+    "blockage_per_m": {"minimum": 0.0},
+    "ban_tx_dbm": {},
+    "sbs_tx_dbm": {},
+    "machine_tx_dbm": {},
+    "noise_dbm": {},
+    "snr_threshold_db": {},
+    "access_outage": {},
+    "backhaul_outage": {},
+    "user_density_per_m2": {"minimum": 0.0},
+    "per_user_rate_bps": {"above": 0.0},
+    "compression_ratio": {},
+    "mtc_weight": {"minimum": 0.0},
+    "machine_limit": {"integer": True, "minimum": 0},
+    "ma_range_m": {"minimum": 0.0},
+}
+_LINK_BOUNDS = {
+    "los_exponent": {"minimum": 0.0},
+    "nlos_exponent": {"minimum": 0.0},
+    "los_shadowing_db": {"minimum": 0.0},
+    "nlos_shadowing_db": {"minimum": 0.0},
+    "bandwidth_hz": {"minimum": 0.0},
+}
 
 
 @dataclass(frozen=True)
@@ -166,21 +214,28 @@ class Scenario:
     max_relays: int = 2
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("area must have positive size")
-        if self.subarea_side <= 0:
-            raise ValueError("subarea_side must be positive")
+        """Fields are named as in the scenario file (``area.w``, ``n_b``,
+        ``machines[3].rate``, ...)."""
+        _check_number("area.w", self.width, above=0)
+        _check_number("area.h", self.height, above=0)
+        _check_number("subarea_side", self.subarea_side, above=0)
+        _check_number("n_b", self.ban_slots, integer=True, minimum=0)
+        _check_number("n_relays", self.max_relays, integer=True, minimum=0)
         if not (self.ban_sites or self.sbs_sites or self.ma_sites):
-            raise ValueError("at least one candidate site is required")
-        for group in (self.ban_sites, self.sbs_sites, self.ma_sites):
-            for s in group:
-                if not (0 <= s.x <= self.width and 0 <= s.y <= self.height):
-                    raise ValueError(f"site at ({s.x}, {s.y}) outside area")
-                if s.cost <= 0:
-                    raise ValueError("site costs must be positive")
-        for m in self.machines:
-            if not (0 <= m.x <= self.width and 0 <= m.y <= self.height):
-                raise ValueError(f"machine at ({m.x}, {m.y}) outside area")
+            raise ScenarioFormatError("ban_sites/sbs_sites/ma_sites", "at least one candidate site is required")
+        groups = (("ban_sites", self.ban_sites), ("sbs_sites", self.sbs_sites), ("ma_sites", self.ma_sites))
+        points = [(key, n, s.x, s.y, s.cost) for key, group in groups for n, s in enumerate(group)]
+        points += [("machines", n, m.x, m.y, m.rate_bps) for n, m in enumerate(self.machines)]
+        for key, n, x, y, amount in points:
+            plain = type(x) is type(y) is type(amount) is float
+            if plain and 0 <= x <= self.width and 0 <= y <= self.height and 0 < amount < math.inf:
+                continue  # the common case, in one test
+            where = f"{key}[{n}]"
+            _check_number(f"{where}.x", x, minimum=0)
+            _check_number(f"{where}.y", y, minimum=0)
+            _check_number(f"{where}.{'rate' if key == 'machines' else 'cost'}", amount, above=0)
+            if x > self.width or y > self.height:
+                raise ScenarioFormatError(where, f"position ({x}, {y}) outside area")
 
     @cached_property
     def grid_shape(self) -> tuple[int, int]:
@@ -583,51 +638,50 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ScenarioFormatError(f"{where}.{key}" if where else key, "missing")
         return d[key]
 
+    def typed(fieldname: str, value, kind: type):
+        if not isinstance(value, kind):
+            expected = "an object" if kind is dict else "a list"
+            raise ScenarioFormatError(fieldname, f"expected {expected}, got {value!r}")
+        return value
+
     if not isinstance(data, dict):
         raise ScenarioFormatError("", "top level must be an object")
     version = need(data, "version", "")
-    if version != SCENARIO_FORMAT_VERSION:
+    if isinstance(version, bool) or version != SCENARIO_FORMAT_VERSION:
         raise ScenarioFormatError("version", f"unsupported version {version!r}")
-    area = need(data, "area", "")
-    radio_raw = dict(need(data, "radio", ""))
+    area = typed("area", need(data, "area", ""), dict)
+    radio_raw = dict(typed("radio", need(data, "radio", ""), dict))
+    for key in ("access", "backhaul"):
+        try:
+            radio_raw[key] = LinkClassParams(**typed(f"radio.{key}", need(radio_raw, key, "radio"), dict))
+        except TypeError as exc:
+            raise ScenarioFormatError(f"radio.{key}", str(exc)) from exc
     try:
-        for key in ("access", "backhaul"):
-            radio_raw[key] = LinkClassParams(**radio_raw[key])
         radio = RadioConfig(**radio_raw)
-    except (TypeError, KeyError, ValueError) as exc:
+    except TypeError as exc:  # an unknown key
         raise ScenarioFormatError("radio", str(exc)) from exc
 
-    def sites(key: str) -> tuple[Site, ...]:
+    def entries(key: str, fields: tuple[str, ...], cls) -> tuple:
         out = []
-        for n, raw in enumerate(need(data, key, "")):
+        for n, raw in enumerate(typed(key, need(data, key, ""), list)):
             try:
-                out.append(Site(raw["x"], raw["y"], raw["cost"]))
+                out.append(cls(*(raw[f] for f in fields)))
             except (TypeError, KeyError) as exc:
-                raise ScenarioFormatError(f"{key}[{n}]", "expected {x, y, cost}") from exc
+                raise ScenarioFormatError(f"{key}[{n}]", f"expected {{{', '.join(fields)}}}") from exc
         return tuple(out)
 
-    machines = []
-    for n, raw in enumerate(need(data, "machines", "")):
-        try:
-            machines.append(Machine(raw["x"], raw["y"], raw["rate"]))
-        except (TypeError, KeyError) as exc:
-            raise ScenarioFormatError(f"machines[{n}]", "expected {x, y, rate}") from exc
-
-    try:
-        return Scenario(
-            width=need(area, "w", "area"),
-            height=need(area, "h", "area"),
-            radio=radio,
-            ban_sites=sites("ban_sites"),
-            sbs_sites=sites("sbs_sites"),
-            ma_sites=sites("ma_sites"),
-            machines=tuple(machines),
-            subarea_side=need(data, "subarea_side", ""),
-            ban_slots=need(data, "n_b", ""),
-            max_relays=need(data, "n_relays", ""),
-        )
-    except ValueError as exc:
-        raise ScenarioFormatError("", str(exc)) from exc
+    return Scenario(
+        width=need(area, "w", "area"),
+        height=need(area, "h", "area"),
+        radio=radio,
+        ban_sites=entries("ban_sites", ("x", "y", "cost"), Site),
+        sbs_sites=entries("sbs_sites", ("x", "y", "cost"), Site),
+        ma_sites=entries("ma_sites", ("x", "y", "cost"), Site),
+        machines=entries("machines", ("x", "y", "rate"), Machine),
+        subarea_side=need(data, "subarea_side", ""),
+        ban_slots=need(data, "n_b", ""),
+        max_relays=need(data, "n_relays", ""),
+    )
 
 
 def canonical_json(data) -> str:

@@ -1,13 +1,18 @@
 """Command-line surface: gen/derive/solve/check/oracle/report."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import backhaul_planner
 from backhaul_planner.cli import main
@@ -18,6 +23,9 @@ FAST_CONFIG = {
     "solve": {"n_lagrangian": 2},
     "search": {"n_outer": 3, "n_inner": 4, "n_div": 1, "tenure_ban": 1, "tenure_station": 2},
 }
+
+
+GOLDEN_SCENARIO = Path(__file__).parent / "data" / "golden_scenario.json"
 
 
 @pytest.fixture()
@@ -82,6 +90,90 @@ class TestDerive:
         Path("bad.json").write_text(json.dumps(data))
         assert main(["derive", "bad.json"]) == 2
         assert "n_b" in capsys.readouterr().err
+
+
+def scenario_fields(node, path="", keys=()):
+    """(path, keys) of every field of a scenario document, containers too;
+    paths are spelled as the error messages spell them."""
+    if keys:
+        yield path, keys
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from scenario_fields(v, f"{path}.{k}" if path else k, keys + (k,))
+    elif isinstance(node, list):
+        for n, v in enumerate(node):
+            yield from scenario_fields(v, f"{path}[{n}]", keys + (n,))
+
+
+GOLDEN_FIELDS = sorted(scenario_fields(json.loads(GOLDEN_SCENARIO.read_text())))
+# radio levels in dB(m) may be any finite number, negative ones included
+SIGNED_FIELDS = {
+    "radio.ban_tx_dbm", "radio.sbs_tx_dbm", "radio.machine_tx_dbm", "radio.noise_dbm", "radio.snr_threshold_db"
+}
+INTEGER_FIELDS = {"version", "n_b", "n_relays", "radio.machine_limit"}
+
+
+@st.composite
+def corrupted_field(draw):
+    path, keys = draw(st.sampled_from(GOLDEN_FIELDS))
+    bad = [math.nan, math.inf, -math.inf, "x", None, True, [1.0], {"v": 1}]
+    if path not in SIGNED_FIELDS:
+        bad.append(-1.0)
+    if path in INTEGER_FIELDS:
+        bad.append(2.5)
+    return path, keys, draw(st.sampled_from(bad))
+
+
+def write_corrupted(directory: Path, keys, bad) -> Path:
+    data = json.loads(GOLDEN_SCENARIO.read_text())
+    node = data
+    for k in keys[:-1]:
+        node = node[k]
+    node[keys[-1]] = bad
+    path = directory / "bad.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+class TestMalformedScenario:
+    """A malformed field exits 2 and is named; it never gives a traceback."""
+
+    @given(corrupted_field())
+    def test_corrupted_field_exits_2_naming_it(self, case):
+        path, keys, bad = case
+        with tempfile.TemporaryDirectory() as tmp:
+            scen = write_corrupted(Path(tmp), keys, bad)
+            for argv in (["derive", str(scen)], ["solve", str(scen), "--out", str(Path(tmp) / "out")]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = main(argv)
+                assert rc == 2, (argv[0], path, bad)
+                assert path in err.getvalue() and "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize(
+        "path, keys, bad",
+        [
+            ("ban_sites[0].cost", ("ban_sites", 0, "cost"), math.nan),
+            ("machines[0].rate", ("machines", 0, "rate"), math.nan),
+            ("sbs_sites[1].x", ("sbs_sites", 1, "x"), "12.5"),
+            ("subarea_side", ("subarea_side",), "10"),
+            ("n_b", ("n_b",), -1),
+            ("n_relays", ("n_relays",), -2),
+        ],
+    )
+    def test_process_exit_code(self, workdir, path, keys, bad):
+        scen = write_corrupted(workdir, keys, bad)
+        package_root = str(Path(backhaul_planner.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        for argv in (["derive", str(scen)], ["solve", str(scen), "--out", "out"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "backhaul_planner", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": pythonpath},
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert path in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestSolve:

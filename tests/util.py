@@ -240,3 +240,65 @@ def state_solution(dep, state) -> "Solution":
         machine_cover={},
     )
     return Solution(dep, plan)
+
+
+def reference_assign(ws, deployment, multipliers):
+    """The connection assignment as a full rescan: every step recomputes
+    every BAN attach and every insert move of every unattached SBS. Kept as
+    the reference the incremental ``lagrangian._assign`` must reproduce."""
+    from backhaul_planner import ConnectionPlan
+    from backhaul_planner.lagrangian import (
+        AssignResult,
+        Move,
+        PathState,
+        _anchor_phase,
+        apply_move,
+        delta_attach_ban,
+        delta_insert_after,
+        delta_insert_before,
+    )
+
+    scenario = ws.scenario
+    anchor = _anchor_phase(ws, deployment)
+    state = PathState(ws, multipliers, anchor)
+    theta = ws.theta
+
+    value = (
+        scenario.n_subareas
+        + theta * scenario.n_machines
+        - len(anchor.ban_cover)
+        - theta * len(anchor.machine_cover)
+    )
+
+    unattached = [i for i in deployment.open_sbss() if ws.allow_sbs]
+    open_bans = deployment.open_bans()
+    attached: list[int] = []
+
+    while unattached:
+        best: Move | None = None
+        for i in unattached:
+            avail = state.uncovered_in_reach(i)
+            for k in open_bans:
+                move = delta_attach_ban(state, i, k, avail)
+                if move and (best is None or move.sort_key() < best.sort_key()):
+                    best = move
+            for p in attached:
+                for maker in (delta_insert_before, delta_insert_after):
+                    move = maker(state, i, p, avail)
+                    if move and (best is None or move.sort_key() < best.sort_key()):
+                        best = move
+        if best is None:
+            break
+        apply_move(state, best)
+        value += best.delta
+        unattached.remove(best.sbs)
+        attached.append(best.sbs)
+
+    plan = ConnectionPlan(
+        ban_cover=dict(state.ban_cover),
+        sbs_cover=dict(state.sbs_cover),
+        sbs_parent=dict(state.parent),
+        ma_parent=dict(anchor.ma_parent),
+        machine_cover=dict(anchor.machine_cover),
+    )
+    return AssignResult(plan, value, tuple(sorted(unattached)), anchor.stranded_mas)
