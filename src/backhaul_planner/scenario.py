@@ -227,9 +227,6 @@ class Scenario:
         points = [(key, n, s.x, s.y, s.cost) for key, group in groups for n, s in enumerate(group)]
         points += [("machines", n, m.x, m.y, m.rate_bps) for n, m in enumerate(self.machines)]
         for key, n, x, y, amount in points:
-            plain = type(x) is type(y) is type(amount) is float
-            if plain and 0 <= x <= self.width and 0 <= y <= self.height and 0 < amount < math.inf:
-                continue  # the common case, in one test
             where = f"{key}[{n}]"
             _check_number(f"{where}.x", x, minimum=0)
             _check_number(f"{where}.y", y, minimum=0)

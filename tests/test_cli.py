@@ -150,31 +150,6 @@ class TestMalformedScenario:
                 assert rc == 2, (argv[0], path, bad)
                 assert path in err.getvalue() and "Traceback" not in err.getvalue()
 
-    @pytest.mark.parametrize(
-        "path, keys, bad",
-        [
-            ("ban_sites[0].cost", ("ban_sites", 0, "cost"), math.nan),
-            ("machines[0].rate", ("machines", 0, "rate"), math.nan),
-            ("sbs_sites[1].x", ("sbs_sites", 1, "x"), "12.5"),
-            ("subarea_side", ("subarea_side",), "10"),
-            ("n_b", ("n_b",), -1),
-            ("n_relays", ("n_relays",), -2),
-        ],
-    )
-    def test_process_exit_code(self, workdir, path, keys, bad):
-        scen = write_corrupted(workdir, keys, bad)
-        package_root = str(Path(backhaul_planner.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        for argv in (["derive", str(scen)], ["solve", str(scen), "--out", "out"]):
-            proc = subprocess.run(
-                [sys.executable, "-m", "backhaul_planner", *argv],
-                capture_output=True,
-                text=True,
-                env={**os.environ, "PYTHONPATH": pythonpath},
-            )
-            assert proc.returncode == 2, proc.stderr
-            assert path in proc.stderr and "Traceback" not in proc.stderr
-
 
 class TestSolve:
     def run_solve(self, scen, out="out", extra=()):
@@ -346,18 +321,29 @@ class TestGoldenFront:
         assert Path("gout/front.csv").read_text() == (data_dir / "golden_front.csv").read_text()
 
 
+def run_module(*argv) -> subprocess.CompletedProcess:
+    """Run ``python -m backhaul_planner`` in a child process."""
+    # workdir chdirs away from the repo root, so a relative PYTHONPATH
+    # (e.g. `src`) inherited by the child would no longer resolve; point
+    # it at the directory that holds the package this process imported.
+    package_root = str(Path(backhaul_planner.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "backhaul_planner", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self, workdir):
-        # workdir chdirs away from the repo root, so a relative PYTHONPATH
-        # (e.g. `src`) inherited by the child would no longer resolve; point
-        # it at the directory that holds the package this process imported.
-        package_root = str(Path(backhaul_planner.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "backhaul_planner", "--version"],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
-        )
+        proc = run_module("--version")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip()
+
+    def test_malformed_scenario_exit_code(self, workdir):
+        scen = write_corrupted(workdir, ("ban_sites", 0, "cost"), math.nan)
+        proc = run_module("derive", str(scen))
+        assert proc.returncode == 2, proc.stderr
+        assert "ban_sites[0].cost" in proc.stderr and "Traceback" not in proc.stderr
