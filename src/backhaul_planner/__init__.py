@@ -35,6 +35,7 @@ from .lagrangian import (
     Workspace,
     assign_connections,
     relaxed_objective,
+    subgradient,
     subgradient_update,
     zero_multipliers,
 )

@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -20,6 +21,7 @@ from pathlib import Path
 from . import __version__, oracle as oracle_mod, pareto
 from .model import check_feasibility, solution_from_dict, solution_to_dict
 from .scenario import (
+    TOLERANCE,
     GenParams,
     LinkClassParams,
     RadioConfig,
@@ -282,7 +284,7 @@ def cmd_check(args) -> int:
         solution = solution_from_dict(data, scenario)
     except FileNotFoundError:
         raise CliError(f"solution file not found: {args.solution}")
-    except (json.JSONDecodeError, KeyError, ValueError, IndexError) as exc:
+    except ValueError as exc:  # JSON syntax, text encoding or SolutionFormatError
         raise CliError(f"bad solution file: {exc}")
     violations = check_feasibility(solution, scenario, tables, budget=args.budget)
     if not violations:
@@ -306,7 +308,7 @@ def cmd_oracle(args) -> int:
 
     exact = oracle_mod.exact_front(scenario, tables, theta)
     result = pareto.solve(scenario, tables, params=params)
-    heuristic = [(e.objectives.cost, e.objectives.weighted_uncovered) for e in result.front]
+    heuristic = pareto.front_points(result.front)
 
     oracle_csv = out_dir / "oracle_front.csv"
     with oracle_csv.open("w", newline="") as fh:
@@ -324,9 +326,9 @@ def cmd_oracle(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["f1", "fc", "status", "heuristic_best_fc"])
         for cost_val, fc in exact:
-            within = [h_fc for h_cost, h_fc in heuristic if h_cost <= cost_val + 1e-9]
+            within = [h_fc for h_cost, h_fc in heuristic if h_cost <= cost_val + TOLERANCE]
             best = min(within) if within else None
-            if any(abs(h_cost - cost_val) <= 1e-9 and abs(h_fc - fc) <= 1e-9 for h_cost, h_fc in heuristic):
+            if any(abs(h_cost - cost_val) <= TOLERANCE and abs(h_fc - fc) <= TOLERANCE for h_cost, h_fc in heuristic):
                 status = "match"
                 matches += 1
             elif best is None:
@@ -346,6 +348,43 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+def _read_columns(path: Path, parsers: dict) -> list[tuple]:
+    """One tuple per data row of a CSV file: the named columns, each read by
+    its parser. A missing column or an unreadable value is a CliError naming
+    the file, the row (1 is the first data row) and the column."""
+    rows = []
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            for column in parsers:
+                if column not in (reader.fieldnames or ()):
+                    raise CliError(f"{path}: no {column!r} column")
+            for n, raw in enumerate(reader, start=1):
+                row = []
+                for column, parse in parsers.items():
+                    try:
+                        row.append(parse(raw[column]))
+                    except (TypeError, ValueError):
+                        raise CliError(f"{path} row {n}, column {column!r}: bad value {raw[column]!r}")
+                rows.append(tuple(row))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise CliError(f"{path}: not a readable CSV file: {exc}")
+    return rows
+
+
 def cmd_report(args) -> int:
     started = time.time()
     out_dir = Path(args.out or ".")
@@ -355,28 +394,19 @@ def cmd_report(args) -> int:
         raise CliError(f"missing front file: {front_csv}")
     if not bounds_csv.exists():
         raise CliError(f"missing bound file: {bounds_csv}")
-    with front_csv.open() as fh:
-        front_rows = list(csv.DictReader(fh))
-    with bounds_csv.open() as fh:
-        bound_rows = list(csv.DictReader(fh))
-
-    points = [(float(r["f1"]), float(r["fc"])) for r in front_rows]
-    gap_rows = []
-    skipped = []
-    for r in bound_rows:
-        eps, bound = float(r["epsilon"]), float(r["bound"])
-        feasible = [fc for f1, fc in points if f1 <= eps + 1e-9]
-        if not feasible or bound <= 0:
-            skipped.append(eps)
-            continue
-        best = min(feasible)
-        gap_rows.append((eps, best, bound, best / bound, r["heuristic_bound"]))
+    points = _read_columns(front_csv, {"f1": _finite, "fc": _finite})
+    bounds = [
+        pareto.BoundRecord(*row)
+        for row in _read_columns(bounds_csv, {"epsilon": _finite, "bound": _finite, "heuristic_bound": _flag})
+    ]
+    report = pareto.gap_report(points, bounds)
 
     gap_csv = out_dir / "gap_table.csv"
     with gap_csv.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epsilon", "best_fc", "bound", "ratio", "heuristic_bound"])
-        writer.writerows(gap_rows)
+        for r in report.rows:
+            writer.writerow([r.epsilon, r.best_fc, r.bound, r.ratio, str(r.heuristic).lower()])
 
     plot_csv = out_dir / "plot_data.csv"
     with plot_csv.open("w", newline="") as fh:
@@ -384,21 +414,20 @@ def cmd_report(args) -> int:
         writer.writerow(["series", "x", "y"])
         for f1, fc in sorted(points):
             writer.writerow(["solution", f1, fc])
-        for r in bound_rows:
-            writer.writerow(["bound", float(r["epsilon"]), float(r["bound"])])
+        for rec in bounds:
+            writer.writerow(["bound", rec.epsilon, rec.bound])
 
     _write_manifest(
-        out_dir, "report", {"skipped_epsilons": skipped}, [gap_csv, plot_csv], started,
+        out_dir, "report", {"skipped_epsilons": report.skipped}, [gap_csv, plot_csv], started,
         name="report_manifest.json",
     )
-    if gap_rows:
-        max_ratio = max(r[3] for r in gap_rows)
-        flagged = " (heuristic bounds)" if any(r[4] == "true" for r in gap_rows) else ""
-        print(f"max ratio best_fc/bound = {max_ratio:.4f}{flagged} over {len(gap_rows)} budgets")
+    if report.rows:
+        flagged = " (heuristic bounds)" if any(r.heuristic for r in report.rows) else ""
+        print(f"max ratio best_fc/bound = {report.max_ratio:.4f}{flagged} over {len(report.rows)} budgets")
     else:
         print("no budgets with positive bounds and feasible solutions")
-    if skipped:
-        print(f"skipped {len(skipped)} budget(s) without positive bound or feasible entry")
+    if report.skipped:
+        print(f"skipped {len(report.skipped)} budget(s) without positive bound or feasible entry")
     return EXIT_OK
 
 

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .model import ConnectionPlan, Deployment, IntegrityError, ParentRef, Solution, root_path, sbs_loads
-from .scenario import DerivedTables, Scenario
+from .scenario import TOLERANCE, DerivedTables, Scenario
 
 Multipliers = tuple[float, ...]
 
@@ -190,7 +190,7 @@ def _anchor_phase(ws: Workspace, deployment: Deployment) -> AnchorPhase:
             cum = np.cumsum(ws.machine_rates[idx]) if idx.size else np.empty(0)
             picks[j] = (idx, cum)
             for k in free:
-                budget = ws.cap_ban_ma[k][j] / delta + 1e-9
+                budget = ws.cap_ban_ma[k][j] / delta + TOLERANCE
                 count = min(
                     ws.tables.machine_limit,
                     int(np.searchsorted(cum, budget, side="right")),
@@ -585,20 +585,23 @@ def relaxed_objective(
 # ---------------------------------------------------------------------------
 
 
+def subgradient(solution: Solution, tables: DerivedTables) -> list[float]:
+    """Backhaul-load violation (load - limit) per SBS; 0 where unattached."""
+    loads = sbs_loads(solution)
+    g = [0.0] * len(solution.deployment.sbss)
+    for i, parent in solution.plan.sbs_parent.items():
+        g[i] = loads.get(i, 0) - tables.sbs_limit(parent, i)
+    return g
+
+
 def subgradient_update(
     multipliers: Multipliers,
-    solution: Solution,
-    tables: DerivedTables,
+    g: list[float],
     best_upper: float,
     best_lower: float,
     step_scale: float,
 ) -> Multipliers:
-    """Polyak step along the backhaul-load violations; projected to >= 0."""
-    plan = solution.plan
-    loads = sbs_loads(solution)
-    g = [0.0] * len(multipliers)
-    for i, parent in plan.sbs_parent.items():
-        g[i] = loads.get(i, 0) - tables.sbs_limit(parent, i)
+    """Polyak step along the subgradient ``g``; projected to >= 0."""
     norm2 = sum(x * x for x in g)
     if norm2 == 0:
         return multipliers

@@ -9,16 +9,21 @@ exceptions) so tests and the CLI can report every broken constraint at once.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .scenario import DerivedTables, Scenario
+from .scenario import TOLERANCE, DerivedTables, Scenario
 
 ParentRef = tuple[str, int]  # ("ban", k) or ("sbs", p)
 
 
 class IntegrityError(RuntimeError):
     """A solution's structure is internally inconsistent (cycle, lost root)."""
+
+
+class SolutionFormatError(ValueError):
+    """A solution file is malformed; the message names the field."""
 
 
 @dataclass(frozen=True)
@@ -28,11 +33,6 @@ class Deployment:
     bans: tuple[int, ...]
     sbss: tuple[int, ...]
     mas: tuple[int, ...]
-
-    def __post_init__(self):
-        for bits in (self.bans, self.sbss, self.mas):
-            if any(b not in (0, 1) for b in bits):
-                raise ValueError("deployment flags must be 0 or 1")
 
     @classmethod
     def empty(cls, scenario: Scenario) -> "Deployment":
@@ -232,12 +232,12 @@ def check_feasibility(
     for subarea, k in sorted(plan.ban_cover.items()):
         if not (0 <= subarea < n_sub):
             add(Violation("access-distance", (k, subarea), f"subarea {subarea} does not exist"))
-        elif 0 <= k < len(dep.bans) and tables.ban_subarea_m[k][subarea] > tables.ban_radius_m + 1e-9:
+        elif 0 <= k < len(dep.bans) and tables.ban_subarea_m[k][subarea] > tables.ban_radius_m + TOLERANCE:
             add(Violation("access-distance", (k, subarea), f"subarea {subarea} out of range of ban {k}"))
     for subarea, i in sorted(plan.sbs_cover.items()):
         if not (0 <= subarea < n_sub):
             add(Violation("access-distance", (i, subarea), f"subarea {subarea} does not exist"))
-        elif 0 <= i < len(dep.sbss) and tables.sbs_subarea_m[i][subarea] > tables.sbs_radius_m + 1e-9:
+        elif 0 <= i < len(dep.sbss) and tables.sbs_subarea_m[i][subarea] > tables.sbs_radius_m + TOLERANCE:
             add(Violation("access-distance", (i, subarea), f"subarea {subarea} out of range of sbs {i}"))
     reach_by_ma = {j: set(r) for j, r in enumerate(tables.ma_reach)}
     for m, j in sorted(plan.machine_cover.items()):
@@ -310,7 +310,7 @@ def check_feasibility(
 
     if budget is not None:
         total = cost(solution.deployment, scenario)
-        if total > budget + 1e-9:
+        if total > budget + TOLERANCE:
             add(Violation("budget", (), f"cost {total} exceeds budget {budget}"))
     return v
 
@@ -344,23 +344,56 @@ def solution_to_dict(solution: Solution, scenario: Scenario, mtc_weight: float) 
     }
 
 
+def _bad(name: str, expected: str, value) -> SolutionFormatError:
+    return SolutionFormatError(f"{name}: expected {expected}, got {json.dumps(value, default=repr)[:40]}")
+
+
+def _member(data: dict, key: str, kind: type, name: str):
+    if key not in data:
+        raise SolutionFormatError(f"{name}: missing")
+    if not isinstance(data[key], kind):
+        raise _bad(name, "an object" if kind is dict else "a list", data[key])
+    return data[key]
+
+
+def _int_text(text: str, name: str) -> int:
+    """An integer written as text, as object keys and 'ban:<index>' are."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _bad(name, "an integer", text) from None
+
+
 def solution_from_dict(data: dict, scenario: Scenario) -> Solution:
-    dep = Deployment.of(
-        scenario,
-        bans=data["deployment"]["bans"],
-        sbss=data["deployment"]["sbss"],
-        mas=data["deployment"]["mas"],
-    )
+    """Inverse of ``solution_to_dict``. A malformed field raises
+    SolutionFormatError naming it. Deployment indices must name candidate
+    sites; plan indices only need to be integers, since check_feasibility
+    reports links to closed or missing sites as violations."""
+    if not isinstance(data, dict):
+        raise _bad("solution", "an object", data)
+    deployment = _member(data, "deployment", dict, "deployment")
+    chosen = {}
+    for role, sites in (("bans", scenario.ban_sites), ("sbss", scenario.sbs_sites), ("mas", scenario.ma_sites)):
+        chosen[role] = _member(deployment, role, list, f"deployment.{role}")
+        for n, i in enumerate(chosen[role]):
+            if type(i) is not int or not 0 <= i < len(sites):
+                raise _bad(f"deployment.{role}[{n}]", f"a site index in [0, {len(sites)})", i)
+
     plan = ConnectionPlan()
-    for s, ref in data["cover"].items():
-        kind, idx = ref.split(":")
-        if kind == "ban":
-            plan.ban_cover[int(s)] = int(idx)
-        else:
-            plan.sbs_cover[int(s)] = int(idx)
-    for i, ref in data["parents"].items():
-        kind, idx = ref.split(":")
-        plan.sbs_parent[int(i)] = (kind, int(idx))
-    plan.ma_parent = {int(j): int(k) for j, k in data["ma_links"].items()}
-    plan.machine_cover = {int(m): int(j) for m, j in data["machines"].items()}
-    return Solution(dep, plan)
+    for key in ("cover", "parents"):
+        for node, ref in _member(data, key, dict, key).items():
+            name = f"{key}.{node}"
+            kind, sep, idx = ref.partition(":") if isinstance(ref, str) else ("", "", "")
+            if kind not in ("ban", "sbs") or not sep:
+                raise _bad(name, "'ban:<index>' or 'sbs:<index>'", ref)
+            i, idx = _int_text(node, name), _int_text(idx, name)
+            if key == "parents":
+                plan.sbs_parent[i] = (kind, idx)
+            else:
+                (plan.ban_cover if kind == "ban" else plan.sbs_cover)[i] = idx
+    for key, links in (("ma_links", plan.ma_parent), ("machines", plan.machine_cover)):
+        for node, idx in _member(data, key, dict, key).items():
+            if type(idx) is not int:
+                raise _bad(f"{key}.{node}", "an integer", idx)
+            links[_int_text(node, f"{key}.{node}")] = idx
+    return Solution(Deployment.of(scenario, **chosen), plan)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import ParentRef
-from .scenario import DerivedTables, Scenario
+from .scenario import TOLERANCE, DerivedTables, Scenario
 
 
 class OracleLimitError(RuntimeError):
@@ -266,7 +266,7 @@ class _Enumerator:
             by_rate = (
                 self.scenario.n_machines
                 if self.machine_rate == 0
-                else int(self.tables.ban_ma_capacity[k][j] / (self.machine_rate * delta) + 1e-9)
+                else int(self.tables.ban_ma_capacity[k][j] / (self.machine_rate * delta) + TOLERANCE)
             )
             caps[j] = min(self.tables.machine_limit, by_rate, len(self.ma_reach[j]))
         machines = sorted({m for j, _ in ma_map for m in self.ma_reach[j]})
@@ -398,7 +398,7 @@ class _Enumerator:
                     forest_vals.append((forest.ban_children, -gain - capacity_credit))
                 for mas in ma_sets:
                     cost = self._cost(bans, sbss, mas)
-                    if cost > budget + 1e-9:
+                    if cost > budget + TOLERANCE:
                         continue
                     for use, matched in self._ma_options(bans, mas):
                         for children, fval in forest_vals:
@@ -463,5 +463,5 @@ def exact_relaxed_optimum(
 
 def best_feasible_at(front: list[tuple[float, float]], budget: float) -> float:
     """Best weighted-uncoverage among front points within the budget."""
-    vals = [fc for cost, fc in front if cost <= budget + 1e-9]
+    vals = [fc for cost, fc in front if cost <= budget + TOLERANCE]
     return min(vals) if vals else math.inf

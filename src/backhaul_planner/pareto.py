@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import tabu
-from .lagrangian import Multipliers, Workspace, subgradient_update, zero_multipliers
+from .lagrangian import Multipliers, Workspace, subgradient, subgradient_update, zero_multipliers
 from .model import (
     Deployment,
     ObjectiveVector,
@@ -28,10 +28,9 @@ from .model import (
     dominates,
     objectives,
     root_path,
-    sbs_loads,
 )
-from .scenario import DerivedTables, Scenario
-from .tabu import SearchParams, TabuState, neighborhood
+from .scenario import TOLERANCE, DerivedTables, Scenario
+from .tabu import SearchParams
 
 RESTRICTIONS = ("none", "fiber-only", "single-hop")
 
@@ -181,14 +180,8 @@ def update_epsilon(found: list[FrontEntry], epsilon: float, delta_c: float) -> f
 # ---------------------------------------------------------------------------
 
 
-def _violation_norm(solution: Solution, tables: DerivedTables) -> float:
-    loads = sbs_loads(solution)
-    total = 0.0
-    for i, parent in solution.plan.sbs_parent.items():
-        g = loads.get(i, 0) - tables.sbs_limit(parent, i)
-        if g > 0:
-            total += g * g
-    return math.sqrt(total)
+def _violation_norm(g: list[float]) -> float:
+    return math.sqrt(sum(x * x for x in g if x > 0))
 
 
 def _workspace(scenario: Scenario, tables: DerivedTables, theta: float, restrict: str) -> Workspace:
@@ -235,78 +228,54 @@ class _FrontSearch:
         repaired = repair_solution(Solution(deployment, result.plan), self.scenario, self.tables)
         obj = objectives(repaired, self.scenario, self.theta)
         out = None
-        if obj.cost <= self.budget + 1e-9 and not check_feasibility(repaired, self.scenario, self.tables):
+        if obj.cost <= self.budget + TOLERANCE and not check_feasibility(repaired, self.scenario, self.tables):
             out = (repaired, obj)
         self.cache[key] = out
         return out
 
     def in_window(self, obj: ObjectiveVector) -> bool:
-        return self.low - 1e-9 <= obj.cost <= self.budget + 1e-9
+        return self.low - TOLERANCE <= obj.cost <= self.budget + TOLERANCE
 
     def run(self, start: Deployment, front: list[FrontEntry]) -> tuple[list[FrontEntry], list[FrontEntry]]:
         found: list[FrontEntry] = []
-        current = start
-        tabu1 = TabuState.fresh()
-        tabu2 = TabuState.fresh()
-        clock = [0, 0]
 
-        def harvest(dep: Deployment):
+        def add(sol: Solution, obj: ObjectiveVector) -> None:
             nonlocal front
+            front, added = merge_front(front, FrontEntry(sol, obj, self.budget))
+            if added:
+                found.append(added)
+
+        def harvest(dep: Deployment, *_) -> None:
             res = self.evaluate(dep)
             if res and self.in_window(res[1]):
-                front, added = merge_front(front, FrontEntry(res[0], res[1], self.budget))
-                if added:
-                    found.append(added)
+                add(*res)
 
-        def sweep(level: str, tabustate: TabuState, tenure: int, clock_idx: int):
-            nonlocal current, front
-            harvest(current)
-            cands = neighborhood(current, level, self.budget, self.scenario, self.ws, self.params.n_swap)
-            if not cands:
-                return
+        def choose(outer, inner, candidates, is_tabu):
+            """Merge every in-window nondominated candidate, then move to the
+            least (fc, cost, n) of them that is not tabu, or else of any
+            feasible candidate that is not tabu."""
             entries = []
-            for n, (move, dep) in enumerate(cands):
+            for n, (move, dep) in enumerate(candidates):
                 res = self.evaluate(dep)
-                if res is None:
-                    continue
-                sol, obj = res
-                qualifies = self.in_window(obj) and not any(
-                    dominates(e.objectives, obj) for e in front
-                )
-                entries.append((n, move, dep, sol, obj, qualifies))
-            for n, move, dep, sol, obj, qualifies in entries:
+                if res is not None:
+                    obj = res[1]
+                    qualifies = self.in_window(obj) and not any(dominates(e.objectives, obj) for e in front)
+                    entries.append((n, move, res, qualifies))
+            for _, _, res, qualifies in entries:
                 if qualifies:
-                    front, added = merge_front(front, FrontEntry(sol, obj, self.budget))
-                    if added:
-                        found.append(added)
-            now = clock[clock_idx]
-            pool = [
-                (obj.weighted_uncovered, obj.cost, n, move, dep)
-                for n, move, dep, sol, obj, qualifies in entries
-                if qualifies and not tabustate.is_tabu(move, now)
+                    add(*res)
+            allowed = [
+                (obj.weighted_uncovered, obj.cost, n, qualifies)
+                for n, move, (_, obj), qualifies in entries
+                if not is_tabu(move)
             ]
-            if not pool:
-                pool = [
-                    (obj.weighted_uncovered, obj.cost, n, move, dep)
-                    for n, move, dep, sol, obj, qualifies in entries
-                    if not tabustate.is_tabu(move, now)
-                ]
-            if pool:
-                _, _, _, move, dep = min(pool, key=lambda t: (t[0], t[1], t[2]))
-                tabustate.mark(move, now, tenure)
-                current = dep
-            elif level == "station":
-                current = tabu._diversify(
-                    current, self.scenario, self.budget, tabustate, self.params, self.ws, self.rng
-                )
-                tabustate.expiry.clear()
-            clock[clock_idx] = now + 1
+            pool = [key for key in allowed if key[3]] or allowed
+            return min(pool)[2] if pool else None
 
-        for _ in range(self.params.n_outer):
-            sweep("ban", tabu1, self.params.tenure_ban, 0)
-            for _ in range(self.params.n_inner):
-                sweep("station", tabu2, self.params.tenure_station, 1)
-        harvest(current)
+        # the front search counts no site frequencies, so its diversification
+        # opens the first closed station sites in (kind, index) order
+        end = tabu.two_level_search(start, self.budget, self.ws, self.params, self.rng, {}, choose, harvest)
+        harvest(end)
         return front, found
 
 
@@ -339,13 +308,13 @@ def solve(
     epsilon = epsilon0
     iteration = 0
     # budgets down to and including the cheapest anchor are explored
-    while epsilon >= min_ban_cost - 1e-9:
+    while epsilon >= min_ban_cost - TOLERANCE:
         if params.max_iterations is not None and iteration >= params.max_iterations:
             break
         epsilons.append(epsilon)
         multipliers: Multipliers = zero_multipliers(scenario)
         upper_candidates = [
-            e.objectives.weighted_uncovered for e in front if e.objectives.cost <= epsilon + 1e-9
+            e.objectives.weighted_uncovered for e in front if e.objectives.cost <= epsilon + TOLERANCE
         ]
         best_upper = min(upper_candidates) if upper_candidates else scenario.n_subareas + theta * scenario.n_machines
 
@@ -370,8 +339,9 @@ def solve(
                     scale *= 0.5
                     stall = 0
             lam_max = max(multipliers) if multipliers else 0.0
-            trace.append((iteration, r, epsilon, value, lam_max, _violation_norm(sol, tables)))
-            multipliers = subgradient_update(multipliers, sol, tables, best_upper, value, scale)
+            g = subgradient(sol, tables)
+            trace.append((iteration, r, epsilon, value, lam_max, _violation_norm(g)))
+            multipliers = subgradient_update(multipliers, g, best_upper, value, scale)
 
         bound = max(round_values)
 
@@ -384,7 +354,7 @@ def solve(
             seen_deps.add(key)
             repaired = repair_solution(sol, scenario, tables)
             obj = objectives(repaired, scenario, theta)
-            if obj.cost <= epsilon + 1e-9 and not check_feasibility(repaired, scenario, tables):
+            if obj.cost <= epsilon + TOLERANCE and not check_feasibility(repaired, scenario, tables):
                 front, added = merge_front(front, FrontEntry(repaired, obj, epsilon))
                 if added:
                     found.append(added)
@@ -402,7 +372,7 @@ def solve(
         # one; the published bound is clamped to the best feasible value so it
         # never contradicts the front (it stays flagged as heuristic)
         feasible_now = [
-            e.objectives.weighted_uncovered for e in front if e.objectives.cost <= epsilon + 1e-9
+            e.objectives.weighted_uncovered for e in front if e.objectives.cost <= epsilon + TOLERANCE
         ]
         if feasible_now:
             bound = min(bound, min(feasible_now))
@@ -438,14 +408,18 @@ class GapReport:
     skipped: list[float]
 
 
-def gap_report(front: list[FrontEntry], bounds: list[BoundRecord]) -> GapReport:
-    """Best feasible value within each budget against that budget's bound."""
+def front_points(front: list[FrontEntry]) -> list[tuple[float, float]]:
+    """(cost, weighted uncoverage) of each front entry."""
+    return [(e.objectives.cost, e.objectives.weighted_uncovered) for e in front]
+
+
+def gap_report(points: list[tuple[float, float]], bounds: list[BoundRecord]) -> GapReport:
+    """Best feasible value within each budget against that budget's bound;
+    ``points`` are the front's (cost, weighted uncoverage) pairs."""
     rows: list[GapRow] = []
     skipped: list[float] = []
     for rec in bounds:
-        feasible = [
-            e.objectives.weighted_uncovered for e in front if e.objectives.cost <= rec.epsilon + 1e-9
-        ]
+        feasible = [fc for f1, fc in points if f1 <= rec.epsilon + TOLERANCE]
         if not feasible or rec.bound <= 0:
             skipped.append(rec.epsilon)
             continue

@@ -26,6 +26,9 @@ SCENARIO_FORMAT_VERSION = 1
 
 # Links with an effective SNR below this are treated as dead.
 MIN_USABLE_SNR_DB = -20.0
+# Slack for comparing sums of costs, distances and rate ratios, so that
+# rounding in a sum never flips a comparison that holds exactly.
+TOLERANCE = 1e-9
 
 
 class ScenarioFormatError(ValueError):
@@ -376,7 +379,7 @@ def poisson_demand_exceeds(mean_users: float, capacity_bps: float, per_user_rate
         raise ValueError("mean_users must be nonnegative")
     if mean_users == 0:
         return 0.0
-    max_users = math.floor(capacity_bps / per_user_rate_bps + 1e-9)
+    max_users = math.floor(capacity_bps / per_user_rate_bps + TOLERANCE)
     if max_users < 0:
         return 1.0
     term = math.exp(-mean_users)

@@ -1,24 +1,29 @@
-"""Two-level tabu search over deployment variables for the relaxed problem.
+"""Two-level tabu search over deployment variables.
 
 The outer level moves anchor (BAN) deployments with stations frozen; the
 inner level moves SBS/MA deployments jointly. Moves are open/close/swap on
-candidate sites, each candidate evaluated through the greedy connection
-assignment. Short-term memory is attribute-based (touched sites become tabu
-for a tenure), with aspiration on strict incumbent improvement and a restart
-diversification that re-opens rarely used station sites when the whole
-inner neighborhood is tabu.
+candidate sites within the budget. Short-term memory is attribute-based
+(touched sites become tabu for a tenure), and a restart diversification
+re-opens rarely used station sites when a station step picks no move.
+
+``two_level_search`` is the one search loop. Its two users differ only in
+how they score and pick a candidate: ``solve_relaxed`` prices each
+candidate through the greedy connection assignment under the multipliers,
+with aspiration on strict incumbent improvement; the Pareto front search
+(``pareto._FrontSearch``) ranks repaired feasible candidates.
 """
 
 from __future__ import annotations
 
 import csv
 import random
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, Optional
 
 from .lagrangian import Multipliers, Workspace
 from .model import Deployment, Solution, cost
-from .scenario import DerivedTables, Scenario
+from .scenario import TOLERANCE, DerivedTables, Scenario
 
 SiteKey = tuple[str, int]  # ("ban" | "sbs" | "ma", index)
 
@@ -45,26 +50,21 @@ class SearchParams:
 
 
 @dataclass(frozen=True)
-class Move:
+class SiteMove:
     action: str  # "open" | "close" | "swap"
     sites: tuple[SiteKey, ...]
 
 
 @dataclass
 class TabuState:
-    """Expiry clocks per touched site plus deployment-frequency counters."""
+    """Expiry clock per touched site."""
 
-    expiry: dict[SiteKey, int]
-    frequency: dict[SiteKey, int]
+    expiry: dict[SiteKey, int] = field(default_factory=dict)
 
-    @classmethod
-    def fresh(cls) -> "TabuState":
-        return cls({}, {})
-
-    def is_tabu(self, move: Move, clock: int) -> bool:
+    def is_tabu(self, move: SiteMove, clock: int) -> bool:
         return any(self.expiry.get(site, -1) > clock for site in move.sites)
 
-    def mark(self, move: Move, clock: int, tenure: int) -> None:
+    def mark(self, move: SiteMove, clock: int, tenure: int) -> None:
         for site in move.sites:
             self.expiry[site] = clock + tenure
 
@@ -73,6 +73,12 @@ def _site_cost(scenario: Scenario, site: SiteKey) -> float:
     kind, idx = site
     group = {"ban": scenario.ban_sites, "sbs": scenario.sbs_sites, "ma": scenario.ma_sites}[kind]
     return group[idx].cost
+
+
+def _is_open(deployment: Deployment, site: SiteKey) -> bool:
+    kind, idx = site
+    bits = deployment.bans if kind == "ban" else deployment.sbss if kind == "sbs" else deployment.mas
+    return bool(bits[idx])
 
 
 def _with_site(deployment: Deployment, site: SiteKey, value: int) -> Deployment:
@@ -90,7 +96,7 @@ def _with_site(deployment: Deployment, site: SiteKey, value: int) -> Deployment:
     return Deployment(deployment.bans, deployment.sbss, flip(deployment.mas))
 
 
-def apply_move(deployment: Deployment, move: Move) -> Deployment:
+def apply_move(deployment: Deployment, move: SiteMove) -> Deployment:
     if move.action == "open":
         return _with_site(deployment, move.sites[0], 1)
     if move.action == "close":
@@ -125,11 +131,7 @@ def initial_deployment(
             dep = _with_site(dep, pick, 1)
             total += _site_cost(scenario, pick)
             continue
-        closed = [
-            s
-            for s in station_sites
-            if not (dep.sbss[s[1]] if s[0] == "sbs" else dep.mas[s[1]])
-        ]
+        closed = [s for s in station_sites if not _is_open(dep, s)]
         pick = min(closed, key=lambda s: (_site_cost(scenario, s), s), default=None)
         if pick is None or total + _site_cost(scenario, pick) > budget:
             break
@@ -145,33 +147,28 @@ def neighborhood(
     scenario: Scenario,
     workspace: Optional[Workspace] = None,
     n_swap: Optional[int] = None,
-) -> list[tuple[Move, Deployment]]:
+) -> list[tuple[SiteMove, Deployment]]:
     """All open/close/swap moves at one level whose result stays within
     budget, in a fixed order (opens, closes, swaps; each by site index)."""
     sites = _level_sites(scenario, level, workspace)
     base = cost(deployment, scenario)
-
-    def is_open(site: SiteKey) -> bool:
-        kind, idx = site
-        bits = {"ban": deployment.bans, "sbs": deployment.sbss, "ma": deployment.mas}[kind]
-        return bool(bits[idx])
-
-    moves: list[Move] = []
+    is_open = partial(_is_open, deployment)
+    moves: list[SiteMove] = []
     for site in sites:
-        if not is_open(site) and base + _site_cost(scenario, site) <= budget + 1e-9:
-            moves.append(Move("open", (site,)))
+        if not is_open(site) and base + _site_cost(scenario, site) <= budget + TOLERANCE:
+            moves.append(SiteMove("open", (site,)))
     for site in sites:
         if is_open(site):
-            moves.append(Move("close", (site,)))
-    swaps: list[Move] = []
+            moves.append(SiteMove("close", (site,)))
+    swaps: list[SiteMove] = []
     for closing in sites:
         if not is_open(closing):
             continue
         for opening in sites:
             if opening == closing or is_open(opening):
                 continue
-            if base - _site_cost(scenario, closing) + _site_cost(scenario, opening) <= budget + 1e-9:
-                swaps.append(Move("swap", (closing, opening)))
+            if base - _site_cost(scenario, closing) + _site_cost(scenario, opening) <= budget + TOLERANCE:
+                swaps.append(SiteMove("swap", (closing, opening)))
     if n_swap is not None:
         swaps = swaps[:n_swap]
     moves += swaps
@@ -182,7 +179,7 @@ def _diversify(
     deployment: Deployment,
     scenario: Scenario,
     budget: float,
-    tabu: TabuState,
+    frequency: dict[SiteKey, int],
     params: SearchParams,
     workspace: Optional[Workspace],
     rng: random.Random,
@@ -190,21 +187,16 @@ def _diversify(
     """Open the n_div least-frequently deployed station sites, closing random
     incumbents if needed to stay within budget."""
     sites = _level_sites(scenario, "station", workspace)
-
-    def is_open(dep: Deployment, site: SiteKey) -> bool:
-        kind, idx = site
-        return bool(dep.sbss[idx] if kind == "sbs" else dep.mas[idx])
-
     rare = sorted(
-        (s for s in sites if not is_open(deployment, s)),
-        key=lambda s: (tabu.frequency.get(s, 0), s),
+        (s for s in sites if not _is_open(deployment, s)),
+        key=lambda s: (frequency.get(s, 0), s),
     )[: params.n_div]
     dep = deployment
     for site in rare:
         dep = _with_site(dep, site, 1)
     opened = list(rare)
-    while cost(dep, scenario) > budget + 1e-9:
-        closable = sorted(s for s in sites if is_open(dep, s) and s not in opened)
+    while cost(dep, scenario) > budget + TOLERANCE:
+        closable = sorted(s for s in sites if _is_open(dep, s) and s not in opened)
         if closable:
             dep = _with_site(dep, rng.choice(closable), 0)
             continue
@@ -212,6 +204,59 @@ def _diversify(
             break
         dep = _with_site(dep, opened.pop(), 0)
     return dep
+
+
+def two_level_search(
+    start: Deployment,
+    budget: float,
+    ws: Workspace,
+    params: SearchParams,
+    rng: random.Random,
+    frequency: dict[SiteKey, int],
+    choose: Callable[..., Optional[int]],
+    visit: Callable[[Deployment, int, int], None],
+    diversified: Callable[[Deployment], None] = lambda dep: None,
+) -> Deployment:
+    """Run the two-level search from ``start`` and return where it ends.
+
+    Each outer iteration takes one anchor step, then up to ``n_inner``
+    station steps. A step calls ``visit(current, outer, inner)``, builds its
+    level's neighbourhood and lets ``choose(outer, inner, candidates,
+    is_tabu)`` return the index of the candidate to take, or None; ``inner``
+    is -1 at the anchor step. The taken move becomes tabu. A station step that
+    picks nothing diversifies (by ``frequency``), clears the station memory
+    and shows the result to ``diversified``. The anchor clock is the outer
+    index; an empty station neighbourhood ends the inner loop without
+    advancing the station clock.
+    """
+    scenario = ws.scenario
+    anchors, stations = TabuState(), TabuState()
+    current = start
+    station_clock = 0
+    for outer in range(params.n_outer):
+        visit(current, outer, -1)
+        candidates = neighborhood(current, "ban", budget, scenario, ws, params.n_swap)
+        if candidates:
+            n = choose(outer, -1, candidates, partial(anchors.is_tabu, clock=outer))
+            if n is not None:
+                move, current = candidates[n]
+                anchors.mark(move, outer, params.tenure_ban)
+
+        for inner in range(params.n_inner):
+            visit(current, outer, inner)
+            candidates = neighborhood(current, "station", budget, scenario, ws, params.n_swap)
+            if not candidates:
+                break
+            n = choose(outer, inner, candidates, partial(stations.is_tabu, clock=station_clock))
+            if n is None:
+                current = _diversify(current, scenario, budget, frequency, params, ws, rng)
+                stations.expiry.clear()
+                diversified(current)
+            else:
+                move, current = candidates[n]
+                stations.mark(move, station_clock, params.tenure_station)
+            station_clock += 1
+    return current
 
 
 TRACE_FIELDS = ["outer_iter", "inner_iter", "candidate_best", "incumbent", "move", "tabu_hits", "diversified"]
@@ -240,81 +285,45 @@ def solve_relaxed(
     """Best deployment found for the relaxed problem within the budget, with
     its greedy connection plan and relaxed value."""
     ws = workspace or Workspace(scenario, tables, theta=theta)
-    rng = random.Random(params.seed)
-    tabu1 = TabuState.fresh()
-    tabu2 = TabuState.fresh()
+    start = initial_deployment(scenario, budget, ws)
+    incumbent, incumbent_value = start, ws.evaluate(start, multipliers)
+    station_sites = _level_sites(scenario, "station", ws)
+    frequency: dict[SiteKey, int] = {}
+    diversifying = None  # the trace row of a station step that picked nothing
 
-    current = initial_deployment(scenario, budget, ws)
-    incumbent_value = ws.evaluate(current, multipliers)
-    incumbent = current
-
-    def record(outer, inner, best_cand, move, tabu_hits, diversified):
+    def record(outer, inner, best_value, move, tabu_hits, diversified):
         if trace is not None:
-            trace.append((outer, inner, best_cand, incumbent_value, move, tabu_hits, diversified))
+            trace.append((outer, inner, best_value, incumbent_value, move, tabu_hits, diversified))
 
-    outer_clock = 0
-    inner_clock = 0
-    for t1 in range(params.n_outer):
-        candidates = neighborhood(current, "ban", budget, scenario, ws, params.n_swap)
-        if candidates:
-            evals = [(ws.evaluate(dep, multipliers), n) for n, (_, dep) in enumerate(candidates)]
-            best_value, best_n = min(evals)
-            chosen = None
-            if best_value < incumbent_value:
-                chosen = best_n
-            else:
-                non_tabu = [
-                    (v, n) for v, n in evals if not tabu1.is_tabu(candidates[n][0], outer_clock)
-                ]
-                if non_tabu:
-                    chosen = min(non_tabu)[1]
-            tabu_hits = sum(1 for move, _ in candidates if tabu1.is_tabu(move, outer_clock))
-            if chosen is not None:
-                move, current = candidates[chosen]
-                tabu1.mark(move, outer_clock, params.tenure_ban)
-                value = evals[chosen][0]
-                if value < incumbent_value:
-                    incumbent_value = value
-                    incumbent = current
-                record(t1, -1, best_value, move, tabu_hits, False)
-            else:
-                record(t1, -1, best_value, None, tabu_hits, False)
-        outer_clock += 1
+    def visit(dep: Deployment, outer: int, inner: int) -> None:
+        if inner >= 0:
+            for site in station_sites:
+                if _is_open(dep, site):
+                    frequency[site] = frequency.get(site, 0) + 1
 
-        for t2 in range(params.n_inner):
-            for site in _level_sites(scenario, "station", ws):
-                kind, idx = site
-                if current.sbss[idx] if kind == "sbs" else current.mas[idx]:
-                    tabu2.frequency[site] = tabu2.frequency.get(site, 0) + 1
-            candidates = neighborhood(current, "station", budget, scenario, ws, params.n_swap)
-            if not candidates:
-                break
-            evals = [(ws.evaluate(dep, multipliers), n) for n, (_, dep) in enumerate(candidates)]
-            best_value, best_n = min(evals)
-            tabu_hits = sum(1 for move, _ in candidates if tabu2.is_tabu(move, inner_clock))
-            diversified = False
-            if best_value < incumbent_value:
-                move, current = candidates[best_n]
-                incumbent_value, incumbent = best_value, current
-                tabu2.mark(move, inner_clock, params.tenure_station)
-                record(t1, t2, best_value, move, tabu_hits, False)
-            else:
-                non_tabu = [
-                    (v, n) for v, n in evals if not tabu2.is_tabu(candidates[n][0], inner_clock)
-                ]
-                if non_tabu:
-                    move, current = candidates[min(non_tabu)[1]]
-                    tabu2.mark(move, inner_clock, params.tenure_station)
-                    record(t1, t2, best_value, move, tabu_hits, False)
-                else:
-                    current = _diversify(current, scenario, budget, tabu2, params, ws, rng)
-                    tabu2.expiry.clear()
-                    diversified = True
-                    value = ws.evaluate(current, multipliers)
-                    if value < incumbent_value:
-                        incumbent_value, incumbent = value, current
-                    record(t1, t2, best_value, None, tabu_hits, True)
-            inner_clock += 1
+    def choose(outer, inner, candidates, is_tabu):
+        nonlocal incumbent, incumbent_value, diversifying
+        evals = [(ws.evaluate(dep, multipliers), n) for n, (_, dep) in enumerate(candidates)]
+        best_value, best_n = min(evals)
+        tabu_hits = sum(1 for move, _ in candidates if is_tabu(move))
+        if best_value < incumbent_value:  # aspiration: strict improvement overrides tabu
+            incumbent, incumbent_value = candidates[best_n][1], best_value
+            chosen = best_n
+        else:
+            chosen = min(((v, n) for v, n in evals if not is_tabu(candidates[n][0])), default=(None, None))[1]
+        if chosen is None and inner >= 0:
+            diversifying = (outer, inner, best_value, None, tabu_hits, True)
+        else:
+            record(outer, inner, best_value, None if chosen is None else candidates[chosen][0], tabu_hits, False)
+        return chosen
 
+    def diversified(dep: Deployment) -> None:
+        nonlocal incumbent, incumbent_value
+        value = ws.evaluate(dep, multipliers)
+        if value < incumbent_value:
+            incumbent, incumbent_value = dep, value
+        record(*diversifying)
+
+    two_level_search(start, budget, ws, params, random.Random(params.seed), frequency, choose, visit, diversified)
     result = ws.build_plan(incumbent, multipliers)
     return Solution(incumbent, result.plan), result.value

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import backhaul_planner
+from backhaul_planner import pareto
 from backhaul_planner.cli import main
-from backhaul_planner.scenario import load_scenario, save_scenario
+from backhaul_planner.scenario import derive_tables, load_scenario, save_scenario
+from backhaul_planner.tabu import SearchParams
 from util import tiny_instance
 
 FAST_CONFIG = {
@@ -250,6 +252,31 @@ class TestCheck:
         assert main(["check", str(scen), str(sol), "--budget", "0.5"]) == 1
         assert "budget" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("deployment", "bans"), [0.5], "deployment.bans[0]"),
+            (("deployment", "bans"), ["a"], "deployment.bans[0]"),
+            (("deployment", "bans"), [-1], "deployment.bans[0]"),
+            (("deployment",), [[0], [1], []], "deployment"),
+            (("machines",), None, "machines"),
+            (("parents", "1"), "xyz:1", "parents.1"),
+        ],
+        ids=["index-half", "index-text", "index-negative", "deployment-list", "machines-null", "parent-kind"],
+    )
+    def test_malformed_solution_exits_2_naming_field(self, workdir, capsys, path, value, field):
+        scen, data = self.solved(workdir)
+        assert "1" in data["parents"]
+        *keys, last = path
+        target = data
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        Path("broken.json").write_text(json.dumps(data))
+        assert main(["check", str(scen), "broken.json"]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
 
 class TestOracleCommand:
     def test_diff_reports_matches(self, workdir):
@@ -285,23 +312,64 @@ class TestOracleCommand:
 
 
 class TestReport:
-    def test_gap_and_plot_outputs(self, workdir, capsys):
+    def solved(self):
         scen = tiny_scenario_file(Path("scen.json"), seed=95)
         cfg = write_config(Path("cfg.json"))
         main(["solve", str(scen), "--config", cfg, "--out", "out", "--seed", "1"])
+        return scen
+
+    def test_gap_and_plot_outputs(self, workdir, capsys):
+        scen = self.solved()
         rc = main(["report", "--out", "out"])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "max ratio" in printed or "no budgets" in printed
         plot = list(csv.DictReader(Path("out/plot_data.csv").open()))
         assert {r["series"] for r in plot} >= {"solution"}
-        assert Path("out/gap_table.csv").exists()
+
+        # the gap table is the one gap_report computes from the same solve
+        scenario = load_scenario(scen)
+        params = pareto.SolveParams(
+            n_lagrangian=FAST_CONFIG["solve"]["n_lagrangian"], search=SearchParams(**FAST_CONFIG["search"], seed=1)
+        )
+        result = pareto.solve(scenario, derive_tables(scenario), params=params)
+        expected = pareto.gap_report(pareto.front_points(result.front), result.bounds)
+        assert expected.rows
+        rows = list(csv.reader(Path("out/gap_table.csv").open()))
+        assert rows[0] == ["epsilon", "best_fc", "bound", "ratio", "heuristic_bound"]
+        assert rows[1:] == [
+            [repr(r.epsilon), repr(r.best_fc), repr(r.bound), repr(r.ratio), str(r.heuristic).lower()]
+            for r in expected.rows
+        ]
 
     def test_missing_bounds_is_an_error(self, workdir, capsys):
         Path("empty").mkdir()
         Path("empty/front.csv").write_text("epsilon,f1,f2,f3,fc,bound,heuristic_bound,solution_file\n")
         assert main(["report", "--out", "empty"]) == 2
         assert "bound" in capsys.readouterr().err
+
+    def test_non_numeric_cost_exits_2_naming_it(self, workdir, capsys):
+        self.solved()
+        front = Path("out/front.csv")
+        rows = list(csv.reader(front.open()))
+        rows[2][rows[0].index("f1")] = "abc"
+        with front.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["report", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert "front.csv row 2, column 'f1'" in err and "Traceback" not in err
+
+    def test_bounds_without_bound_column_exits_2_naming_it(self, workdir, capsys):
+        self.solved()
+        bounds = Path("out/bounds.csv")
+        rows = list(csv.DictReader(bounds.open()))
+        with bounds.open("w", newline="") as fh:
+            writer = csv.DictWriter(fh, ["epsilon", "heuristic_bound"], extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["report", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert "bounds.csv: no 'bound' column" in err and "Traceback" not in err
 
 
 class TestGoldenFront:

@@ -18,6 +18,7 @@ from backhaul_planner import (
     objectives,
     relaxed_objective,
     routing_flows,
+    subgradient,
     subgradient_update,
     zero_multipliers,
 )
@@ -426,7 +427,7 @@ class TestSubgradient:
         dep = Deployment.of(scenario, bans=[0], sbss=[0])
         plan, _ = assign_connections(dep, zero_multipliers(scenario), scenario, tables, THETA)
         sol = Solution(dep, plan)
-        lam = subgradient_update(zero_multipliers(scenario), sol, tables, 10.0, 5.0, 1.0)
+        lam = subgradient_update(zero_multipliers(scenario), subgradient(sol, tables), 10.0, 5.0, 1.0)
         assert lam == zero_multipliers(scenario)
 
     def test_single_violation_moves_by_step_times_violation(self):
@@ -453,7 +454,7 @@ class TestSubgradient:
             sbs_cover={1: 0, 2: 0, 5: 0, 8: 0},
             sbs_parent={0: ("ban", 0)},
         )
-        lam = subgradient_update((0.0,), Solution(dep, plan), tables, 9.0, 0.0, 1.0)
+        lam = subgradient_update((0.0,), subgradient(Solution(dep, plan), tables), 9.0, 0.0, 1.0)
         assert lam == (3.0,)
 
     def test_negative_gradient_clamped_at_zero(self):
@@ -461,7 +462,7 @@ class TestSubgradient:
         tables = derive_tables(scenario)
         dep = Deployment.of(scenario, bans=[0], sbss=[0])
         plan, _ = assign_connections(dep, zero_multipliers(scenario), scenario, tables, THETA)
-        lam = subgradient_update((0.2,), Solution(dep, plan), tables, 100.0, 0.0, 0.01)
+        lam = subgradient_update((0.2,), subgradient(Solution(dep, plan), tables), 100.0, 0.0, 0.01)
         assert lam[0] >= 0.0
 
     def test_repeated_updates_reduce_violation(self):
@@ -485,7 +486,7 @@ class TestSubgradient:
         trace = [initial]
         for _ in range(12):
             sol = Solution(dep, result.plan)
-            lam = subgradient_update(lam, sol, tables, scenario.n_subareas + 1.0, result.value, 0.5)
+            lam = subgradient_update(lam, subgradient(sol, tables), scenario.n_subareas + 1.0, result.value, 0.5)
             result = ws.build_plan(dep, lam)
             trace.append(max_violation(Solution(dep, result.plan)))
         assert min(trace) <= max(initial, 0)

@@ -260,28 +260,20 @@ class TestSolve:
 
 
 class TestGapReport:
-    def scenario(self):
-        scenario, _ = tiny_instance(100)
-        return scenario
-
     def test_ratio_one_when_bound_met(self):
-        sc = self.scenario()
-        report = gap_report([entry(10.0, 100.0, sc)], [BoundRecord(12.0, 100.0, True)])
+        report = gap_report([(10.0, 100.0)], [BoundRecord(12.0, 100.0, True)])
         assert report.max_ratio == 1.0
 
     def test_reported_ratio(self):
-        sc = self.scenario()
-        report = gap_report([entry(10.0, 199.0, sc)], [BoundRecord(12.0, 100.0, True)])
+        report = gap_report([(10.0, 199.0)], [BoundRecord(12.0, 100.0, True)])
         assert report.max_ratio == pytest.approx(1.99)
         assert report.rows[0].heuristic
 
     def test_budgets_without_entries_are_skipped(self):
-        sc = self.scenario()
-        report = gap_report([entry(10.0, 50.0, sc)], [BoundRecord(5.0, 40.0, True)])
+        report = gap_report([(10.0, 50.0)], [BoundRecord(5.0, 40.0, True)])
         assert report.rows == [] and report.skipped == [5.0]
         assert report.max_ratio is None
 
     def test_nonpositive_bounds_skipped(self):
-        sc = self.scenario()
-        report = gap_report([entry(1.0, 5.0, sc)], [BoundRecord(2.0, 0.0, True)])
+        report = gap_report([(1.0, 5.0)], [BoundRecord(2.0, 0.0, True)])
         assert report.rows == [] and report.skipped == [2.0]
