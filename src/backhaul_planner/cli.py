@@ -23,14 +23,13 @@ from .model import check_feasibility, solution_from_dict, solution_to_dict
 from .scenario import (
     TOLERANCE,
     GenParams,
-    LinkClassParams,
-    RadioConfig,
     ScenarioFormatError,
     derive_tables,
     generate_scenario,
     load_scenario,
     load_tables,
     preset_gen_params,
+    radio_from_dict,
     save_scenario,
     save_tables,
     scenario_hash,
@@ -80,40 +79,40 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _radio_from_dict(raw: dict) -> RadioConfig:
-    raw = dict(raw)
-    for key in ("access", "backhaul"):
-        if key in raw and isinstance(raw[key], dict):
-            raw[key] = LinkClassParams(**raw[key])
-    try:
-        return RadioConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad radio config: {exc}")
+def _section(config: dict, name: str) -> dict:
+    """A copy of one section of the config; a section must be an object."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise CliError(f"bad {name} config: expected an object, got {json.dumps(section)[:40]}")
+    return dict(section)
 
 
 def _gen_params(args, config: dict) -> GenParams:
     params = preset_gen_params(args.preset) if args.preset else GenParams()
-    overrides = dict(config.get("gen", {}))
-    if "radio" in overrides:
-        overrides["radio"] = _radio_from_dict(overrides["radio"])
+    overrides = _section(config, "gen")
     for key in ("ban_positions", "sbs_positions", "ma_positions"):
         if overrides.get(key) is not None:
-            overrides[key] = tuple(tuple(p) for p in overrides[key])
+            try:
+                overrides[key] = tuple((x, y) for x, y in overrides[key])
+            except (TypeError, ValueError):
+                raise CliError(f"bad gen config: {key} must be a list of [x, y] pairs") from None
     try:
+        if "radio" in overrides:
+            overrides["radio"] = radio_from_dict(overrides["radio"])
         return dataclasses.replace(params, **overrides)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad gen config: {exc}")
 
 
 def _solve_params(args, config: dict) -> pareto.SolveParams:
-    search_over = dict(config.get("search", {}))
+    search_over = _section(config, "search")
     if args.seed is not None:
         search_over["seed"] = args.seed
     try:
         search = SearchParams(**search_over)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad search config: {exc}")
-    solve_over = dict(config.get("solve", {}))
+    solve_over = _section(config, "solve")
     for flag in ("theta", "delta_c", "delta_eps", "restrict", "max_iterations"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -140,8 +139,8 @@ def _tables_for(scenario, scenario_path: str):
     if sidecar.exists():
         try:
             return load_tables(sidecar, scenario)
-        except (ValueError, KeyError, TypeError):
-            pass  # stale cache: re-derive
+        except (ValueError, KeyError, TypeError) as exc:
+            print(f"warning: ignoring stale tables sidecar {sidecar} ({exc}); deriving the tables", file=sys.stderr)
     return derive_tables(scenario)
 
 
@@ -154,7 +153,10 @@ def cmd_gen(args) -> int:
     started = time.time()
     config = _load_config(args.config)
     params = _gen_params(args, config)
-    scenario = generate_scenario(params, args.seed or 0)
+    try:
+        scenario = generate_scenario(params, args.seed or 0)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad gen config: {exc}")
     out = Path(args.out or "scenario.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_scenario(scenario, out)

@@ -34,6 +34,8 @@ from .model import ConnectionPlan, Deployment, IntegrityError, ParentRef, Soluti
 from .scenario import TOLERANCE, DerivedTables, Scenario
 
 Multipliers = tuple[float, ...]
+SiteKey = tuple[str, int]  # ("ban" | "sbs" | "ma", index)
+RESTRICTIONS = ("none", "fiber-only", "single-hop")
 
 
 def zero_multipliers(scenario: Scenario) -> Multipliers:
@@ -56,10 +58,14 @@ class RelaxedValue:
 
 
 class Workspace:
-    """Read-only solver view of a scenario plus pure-function memo caches.
+    """The context one solve runs in: a read-only solver view of the scenario
+    under the MTC weight ``theta`` and a restriction, plus pure-function memo
+    caches.
 
-    ``max_relays``/``allow_sbs``/``allow_ma`` express solve-time restrictions
-    (e.g. single-hop backhaul or anchor-only deployments).
+    ``restrict`` is one of ``RESTRICTIONS``: "fiber-only" opens anchors only
+    (no SBS or MA sites), "single-hop" forbids relaying. The restriction
+    decides which sites a search level may open (``sites``), and with
+    ``site_cost`` and ``deployable_cost`` what they cost.
     """
 
     def __init__(
@@ -67,16 +73,15 @@ class Workspace:
         scenario: Scenario,
         tables: DerivedTables,
         theta: Optional[float] = None,
-        max_relays: Optional[int] = None,
-        allow_sbs: bool = True,
-        allow_ma: bool = True,
+        restrict: str = "none",
     ):
+        if restrict not in RESTRICTIONS:
+            raise ValueError(f"restrict must be one of {RESTRICTIONS}")
         self.scenario = scenario
         self.tables = tables
         self.theta = scenario.radio.mtc_weight if theta is None else theta
-        self.max_hops = (scenario.max_relays if max_relays is None else max_relays) + 1
-        self.allow_sbs = allow_sbs
-        self.allow_ma = allow_ma
+        self.max_hops = 1 if restrict == "single-hop" else scenario.max_relays + 1
+        self.allow_stations = restrict != "fiber-only"
 
         self.n_sub = scenario.n_subareas
         self.n_mach = scenario.n_machines
@@ -84,9 +89,21 @@ class Workspace:
         self.n_sbs = len(scenario.sbs_sites)
         self.n_ma = len(scenario.ma_sites)
 
+        groups = {"ban": scenario.ban_sites}
+        if self.allow_stations:
+            groups.update(sbs=scenario.sbs_sites, ma=scenario.ma_sites)
+        self.site_cost: dict[SiteKey, float] = {
+            (kind, n): s.cost for kind, group in groups.items() for n, s in enumerate(group)
+        }
+        self.sites: dict[str, list[SiteKey]] = {
+            "ban": [site for site in self.site_cost if site[0] == "ban"],
+            "station": [site for site in self.site_cost if site[0] != "ban"],
+        }
+        # the sweep's first budget; each role is summed on its own from 0, then
+        # the role totals are added in the order bans, SBSs, MAs
+        self.deployable_cost = sum(sum(s.cost for s in g) for g in groups.values())
+
         self.ban_sub = np.asarray(tables.ban_subarea_m, dtype=float).reshape(self.n_ban, self.n_sub)
-        self.sbs_reach_sorted = tables.sbs_reach
-        self.ban_reach_sorted = tables.ban_reach
         self.sbs_reach_sets = [frozenset(r) for r in tables.sbs_reach]
 
         self.ban_in_range = np.zeros((self.n_ban, self.n_sub), dtype=bool)
@@ -110,16 +127,8 @@ class Workspace:
                 reach = reach[order]
             self.ma_sorted_idx.append(reach)
 
-        self.ban_costs = [s.cost for s in scenario.ban_sites]
-        self.sbs_costs = [s.cost for s in scenario.sbs_sites]
-        self.ma_costs = [s.cost for s in scenario.ma_sites]
-
         self._anchor_cache: dict = {}
         self._value_cache: dict = {}
-
-    def limit(self, parent: ParentRef, sbs: int) -> int:
-        kind, idx = parent
-        return int(self.limit_ban_sbs[idx, sbs] if kind == "ban" else self.limit_sbs_sbs[idx, sbs])
 
     def evaluate(self, deployment: Deployment, multipliers: Multipliers) -> float:
         """Memoized relaxed value of the greedy connection assignment."""
@@ -172,7 +181,7 @@ def _anchor_phase(ws: Workspace, deployment: Deployment) -> AnchorPhase:
     ma_parent: dict[int, int] = {}
     machine_cover: dict[int, int] = {}
     stranded: list[int] = []
-    waiting = [j for j in deployment.open_mas() if ws.allow_ma]
+    waiting = deployment.open_mas() if ws.allow_stations else []
     free = [k for k in open_bans if scenario.ban_slots > 0]
     mach_covered = np.zeros(ws.n_mach, dtype=bool)
     delta = scenario.radio.compression_ratio
@@ -247,17 +256,6 @@ class PathState:
     def r(self, i: int) -> int:
         return len(self.assigned.get(i, ()))
 
-    def hop(self, i: int) -> int:
-        return self.chain_of[i].nodes.index(i) + 1
-
-    def ancestors(self, i: int) -> list[int]:
-        chain = self.chain_of[i]
-        return chain.nodes[: chain.nodes.index(i)]
-
-    def descendants(self, i: int) -> list[int]:
-        chain = self.chain_of[i]
-        return chain.nodes[chain.nodes.index(i) + 1 :]
-
     def uncovered_in_reach(self, i: int) -> int:
         return int(np.count_nonzero(self.ws.sbs_mask[i] & ~self.covered))
 
@@ -300,7 +298,7 @@ class PathState:
         chosen = self.assigned.setdefault(i, [])
         if r_new <= 0:
             return
-        for s in self.ws.sbs_reach_sorted[i]:
+        for s in self.ws.tables.sbs_reach[i]:
             if not self.covered[s]:
                 self.covered[s] = True
                 self.sbs_cover[s] = i
@@ -454,7 +452,7 @@ def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> 
         - theta * len(anchor.machine_cover)
     )
 
-    unattached = [i for i in deployment.open_sbss() if ws.allow_sbs]
+    unattached = deployment.open_sbss() if ws.allow_stations else []
     # Groups are the open BANs (ints) followed by the chains in creation
     # order. Per unattached SBS the cache holds its avail, its best move per
     # group with that move's sort key, and the group of its least key. After

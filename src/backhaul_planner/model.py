@@ -175,12 +175,16 @@ def routing_flows(solution: Solution) -> dict[int, list[tuple[ParentRef, ParentR
     return flows
 
 
-def sbs_loads(solution: Solution) -> dict[int, int]:
+def sbs_loads(solution: Solution, paths: Optional[list[list[ParentRef]]] = None) -> dict[int, int]:
     """Subareas carried by each attached SBS: its own coverage plus every
-    covered subarea routed through it."""
+    covered subarea routed through it. ``paths`` are the routed subareas'
+    root paths, when the caller has them already; by default every
+    SBS-covered subarea's."""
+    if paths is None:
+        paths = [root_path(solution.plan, sbs) for sbs in solution.plan.sbs_cover.values()]
     loads = {i: 0 for i in solution.plan.sbs_parent}
-    for subarea, sbs in solution.plan.sbs_cover.items():
-        for kind, idx in root_path(solution.plan, sbs):
+    for path in paths:
+        for kind, idx in path:
             if kind == "sbs":
                 loads[idx] = loads.get(idx, 0) + 1
     return loads
@@ -266,7 +270,7 @@ def check_feasibility(
 
     # routing integrity and hop budget for every covered subarea
     max_hops = scenario.max_relays + 1
-    loads: dict[int, int] = {i: 0 for i in plan.sbs_parent}
+    paths = []
     for subarea, sbs in sorted(plan.sbs_cover.items()):
         try:
             path = root_path(plan, sbs)
@@ -276,9 +280,8 @@ def check_feasibility(
         hops = len(path) - 1
         if hops > max_hops:
             add(Violation("hop-limit", (subarea, sbs), f"subarea {subarea} routed over {hops} > {max_hops} hops"))
-        for kind, idx in path:
-            if kind == "sbs":
-                loads[idx] = loads.get(idx, 0) + 1
+        paths.append(path)
+    loads = sbs_loads(solution, paths)
 
     # per-SBS backhaul load against the capacity-derived subarea limit
     n_sbs = len(dep.sbss)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import tabu
-from .lagrangian import Multipliers, Workspace, subgradient, subgradient_update, zero_multipliers
+from .lagrangian import RESTRICTIONS, Multipliers, Workspace, subgradient, subgradient_update, zero_multipliers
 from .model import (
     Deployment,
     ObjectiveVector,
@@ -32,8 +32,6 @@ from .model import (
 from .scenario import TOLERANCE, DerivedTables, Scenario
 from .tabu import SearchParams
 
-RESTRICTIONS = ("none", "fiber-only", "single-hop")
-
 
 @dataclass(frozen=True)
 class SolveParams:
@@ -41,17 +39,13 @@ class SolveParams:
     delta_c: float = 1.0
     delta_eps: Optional[float] = None  # None: widest single-site cost
     n_lagrangian: int = 10
-    step_scale: float = 1.0
     max_iterations: Optional[int] = None
-    bound_pick: str = "max"  # deployment used to seed the front search
-    restrict: str = "none"
+    restrict: str = "none"  # one of lagrangian.RESTRICTIONS
     search: SearchParams = SearchParams()
 
     def __post_init__(self):
         if self.delta_c <= 0:
             raise ValueError("delta_c must be positive")
-        if self.bound_pick not in ("max", "min"):
-            raise ValueError("bound_pick must be 'max' or 'min'")
         if self.restrict not in RESTRICTIONS:
             raise ValueError(f"restrict must be one of {RESTRICTIONS}")
         if self.n_lagrangian < 1:
@@ -184,51 +178,34 @@ def _violation_norm(g: list[float]) -> float:
     return math.sqrt(sum(x * x for x in g if x > 0))
 
 
-def _workspace(scenario: Scenario, tables: DerivedTables, theta: float, restrict: str) -> Workspace:
-    return Workspace(
-        scenario,
-        tables,
-        theta=theta,
-        max_relays=0 if restrict == "single-hop" else None,
-        allow_sbs=restrict != "fiber-only",
-        allow_ma=restrict != "fiber-only",
-    )
-
-
-def _deployable_cost(scenario: Scenario, ws: Workspace) -> float:
-    total = sum(s.cost for s in scenario.ban_sites)
-    if ws.allow_sbs:
-        total += sum(s.cost for s in scenario.sbs_sites)
-    if ws.allow_ma:
-        total += sum(s.cost for s in scenario.ma_sites)
-    return total
+def _best_within(points: list[tuple[float, float]], epsilon: float) -> Optional[float]:
+    """Least weighted uncoverage among (cost, fc) points within a budget."""
+    return min((fc for f1, fc in points if f1 <= epsilon + TOLERANCE), default=None)
 
 
 class _FrontSearch:
     """Two-level deployment search harvesting feasible nondominated solutions
     with cost inside [budget - window, budget]."""
 
-    def __init__(self, ws, scenario, tables, theta, budget, window, params: SearchParams, rng):
+    def __init__(self, ws: Workspace, budget: float, window: float, params: SearchParams, rng: random.Random):
         self.ws = ws
-        self.scenario = scenario
-        self.tables = tables
-        self.theta = theta
         self.budget = budget
         self.low = budget - window
         self.params = params
         self.rng = rng
-        self.zero = zero_multipliers(scenario)
+        self.zero = zero_multipliers(ws.scenario)
         self.cache: dict = {}
 
     def evaluate(self, deployment: Deployment):
         key = (deployment.bans, deployment.sbss, deployment.mas)
         if key in self.cache:
             return self.cache[key]
-        result = self.ws.build_plan(deployment, self.zero)
-        repaired = repair_solution(Solution(deployment, result.plan), self.scenario, self.tables)
-        obj = objectives(repaired, self.scenario, self.theta)
+        ws = self.ws
+        result = ws.build_plan(deployment, self.zero)
+        repaired = repair_solution(Solution(deployment, result.plan), ws.scenario, ws.tables)
+        obj = objectives(repaired, ws.scenario, ws.theta)
         out = None
-        if obj.cost <= self.budget + TOLERANCE and not check_feasibility(repaired, self.scenario, self.tables):
+        if obj.cost <= self.budget + TOLERANCE and not check_feasibility(repaired, ws.scenario, ws.tables):
             out = (repaired, obj)
         self.cache[key] = out
         return out
@@ -282,17 +259,14 @@ class _FrontSearch:
 def solve(
     scenario: Scenario,
     tables: DerivedTables,
-    theta: Optional[float] = None,
     params: SolveParams = SolveParams(),
 ) -> SolveResult:
     """Full budget sweep; returns the accumulated front and per-budget
     lower bounds."""
-    theta = scenario.radio.mtc_weight if theta is None else theta
-    if params.theta is not None:
-        theta = params.theta
-    ws = _workspace(scenario, tables, theta, params.restrict)
+    ws = Workspace(scenario, tables, params.theta, params.restrict)
+    theta = ws.theta
 
-    epsilon0 = _deployable_cost(scenario, ws)
+    epsilon0 = ws.deployable_cost
     window = params.delta_eps
     if window is None:
         site_costs = [s.cost for s in scenario.ban_sites + scenario.sbs_sites + scenario.ma_sites]
@@ -300,7 +274,7 @@ def solve(
 
     empty = Solution.empty(scenario)
     front: list[FrontEntry] = [FrontEntry(empty, objectives(empty, scenario, theta), epsilon0)]
-    bounds: list[BoundRecord] = []
+    raw_bounds: list[float] = []
     epsilons: list[float] = []
     trace: list[tuple] = []
 
@@ -313,21 +287,18 @@ def solve(
             break
         epsilons.append(epsilon)
         multipliers: Multipliers = zero_multipliers(scenario)
-        upper_candidates = [
-            e.objectives.weighted_uncovered for e in front if e.objectives.cost <= epsilon + TOLERANCE
-        ]
-        best_upper = min(upper_candidates) if upper_candidates else scenario.n_subareas + theta * scenario.n_machines
+        best_upper = _best_within(front_points(front), epsilon)
+        if best_upper is None:
+            best_upper = scenario.n_subareas + theta * scenario.n_machines
 
         round_solutions: list[Solution] = []
         round_values: list[float] = []
         best_lower = -math.inf
-        scale = params.step_scale
+        scale = 1.0
         stall = 0
         for r in range(params.n_lagrangian):
             search = dataclasses.replace(params.search, seed=params.search.seed + 7919 * iteration + r)
-            sol, value = tabu.solve_relaxed(
-                scenario, tables, epsilon, multipliers, theta, search, workspace=ws
-            )
+            sol, value = tabu.solve_relaxed(ws, multipliers, epsilon, search)
             round_solutions.append(sol)
             round_values.append(value)
             if value > best_lower + 1e-12:
@@ -343,7 +314,7 @@ def solve(
             trace.append((iteration, r, epsilon, value, lam_max, _violation_norm(g)))
             multipliers = subgradient_update(multipliers, g, best_upper, value, scale)
 
-        bound = max(round_values)
+        raw_bounds.append(max(round_values))
 
         found: list[FrontEntry] = []
         seen_deps = set()
@@ -359,24 +330,13 @@ def solve(
                 if added:
                     found.append(added)
 
-        pick = max if params.bound_pick == "max" else min
-        start_idx = pick(range(len(round_values)), key=lambda n: (round_values[n], -n))
+        # the front search starts from the round with the largest relaxed value
+        start_idx = max(range(len(round_values)), key=lambda n: (round_values[n], -n))
         start = round_solutions[start_idx].deployment
 
         rng = random.Random(params.search.seed + 104729 * iteration + 31)
-        searcher = _FrontSearch(ws, scenario, tables, theta, epsilon, window, params.search, rng)
-        front, nd_found = searcher.run(start, front)
+        front, nd_found = _FrontSearch(ws, epsilon, window, params.search, rng).run(start, front)
         found.extend(nd_found)
-
-        # an under-solved relaxed problem can report a value above a feasible
-        # one; the published bound is clamped to the best feasible value so it
-        # never contradicts the front (it stays flagged as heuristic)
-        feasible_now = [
-            e.objectives.weighted_uncovered for e in front if e.objectives.cost <= epsilon + TOLERANCE
-        ]
-        if feasible_now:
-            bound = min(bound, min(feasible_now))
-        bounds.append(BoundRecord(epsilon, bound, True))
 
         next_epsilon = update_epsilon(found, epsilon, params.delta_c)
         if next_epsilon > epsilon - params.delta_c + 1e-12:
@@ -384,6 +344,15 @@ def solve(
         epsilon = next_epsilon
         iteration += 1
 
+    # an under-solved relaxed problem can report a value above a feasible
+    # one, found at this budget or a later, cheaper one; each published bound
+    # is clamped to the best value of the final front within its budget, so it
+    # never contradicts the front (it stays flagged as heuristic)
+    points = front_points(front)
+    bounds = []
+    for epsilon, bound in zip(epsilons, raw_bounds):
+        best = _best_within(points, epsilon)
+        bounds.append(BoundRecord(epsilon, bound if best is None else min(bound, best), True))
     return SolveResult(front, bounds, epsilons, trace)
 
 
@@ -419,11 +388,10 @@ def gap_report(points: list[tuple[float, float]], bounds: list[BoundRecord]) -> 
     rows: list[GapRow] = []
     skipped: list[float] = []
     for rec in bounds:
-        feasible = [fc for f1, fc in points if f1 <= rec.epsilon + TOLERANCE]
-        if not feasible or rec.bound <= 0:
+        best = _best_within(points, rec.epsilon)
+        if best is None or rec.bound <= 0:
             skipped.append(rec.epsilon)
             continue
-        best = min(feasible)
         rows.append(GapRow(rec.epsilon, best, rec.bound, best / rec.bound, rec.heuristic))
     ratios = [r.ratio for r in rows if r.ratio is not None]
     return GapReport(rows, max(ratios) if ratios else None, skipped)

@@ -124,10 +124,6 @@ class RadioConfig:
         if not (0.0 < self.compression_ratio <= 1.0):
             raise ScenarioFormatError("radio.compression_ratio", "must lie in (0, 1]")
 
-    @classmethod
-    def for_carrier(cls, carrier_hz: float, **overrides) -> "RadioConfig":
-        return cls(carrier_hz=carrier_hz, wavelength_m=SPEED_OF_LIGHT / carrier_hz, **overrides)
-
 
 # Sign constraints of the numeric radio fields; every one must be finite.
 _RADIO_BOUNDS = {
@@ -565,8 +561,9 @@ def generate_scenario(params: GenParams, seed: int) -> Scenario:
     """Draw a scenario; identical (params, seed) gives an identical instance."""
     if params.width <= 0 or params.height <= 0:
         raise ValueError("area must have positive size")
-    if min(params.n_ban, params.n_sbs, params.n_ma, params.n_machines) < 0:
-        raise ValueError("counts must be nonnegative")
+    for name in ("n_ban", "n_sbs", "n_ma", "n_machines"):
+        if getattr(params, name) < 0:
+            raise ValueError(f"{name} must be nonnegative")
     rng = random.Random(seed)
 
     def draw_sites(n: int, cost: float, explicit) -> tuple[Site, ...]:
@@ -632,38 +629,49 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _typed(fieldname: str, value, kind: type):
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ScenarioFormatError(fieldname, f"expected {expected}, got {value!r}")
+    return value
+
+
+def radio_from_dict(data) -> RadioConfig:
+    """The RadioConfig a ``radio`` object describes; fields it leaves out,
+    the link classes included, keep their defaults."""
+    raw = dict(_typed("radio", data, dict))
+    for key in ("access", "backhaul"):
+        if key in raw:
+            try:
+                raw[key] = LinkClassParams(**_typed(f"radio.{key}", raw[key], dict))
+            except TypeError as exc:
+                raise ScenarioFormatError(f"radio.{key}", str(exc)) from exc
+    try:
+        return RadioConfig(**raw)
+    except TypeError as exc:  # an unknown key
+        raise ScenarioFormatError("radio", str(exc)) from exc
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     def need(d: dict, key: str, where: str):
         if key not in d:
             raise ScenarioFormatError(f"{where}.{key}" if where else key, "missing")
         return d[key]
 
-    def typed(fieldname: str, value, kind: type):
-        if not isinstance(value, kind):
-            expected = "an object" if kind is dict else "a list"
-            raise ScenarioFormatError(fieldname, f"expected {expected}, got {value!r}")
-        return value
-
     if not isinstance(data, dict):
         raise ScenarioFormatError("", "top level must be an object")
     version = need(data, "version", "")
     if isinstance(version, bool) or version != SCENARIO_FORMAT_VERSION:
         raise ScenarioFormatError("version", f"unsupported version {version!r}")
-    area = typed("area", need(data, "area", ""), dict)
-    radio_raw = dict(typed("radio", need(data, "radio", ""), dict))
+    area = _typed("area", need(data, "area", ""), dict)
+    radio_raw = _typed("radio", need(data, "radio", ""), dict)
     for key in ("access", "backhaul"):
-        try:
-            radio_raw[key] = LinkClassParams(**typed(f"radio.{key}", need(radio_raw, key, "radio"), dict))
-        except TypeError as exc:
-            raise ScenarioFormatError(f"radio.{key}", str(exc)) from exc
-    try:
-        radio = RadioConfig(**radio_raw)
-    except TypeError as exc:  # an unknown key
-        raise ScenarioFormatError("radio", str(exc)) from exc
+        need(radio_raw, key, "radio")
+    radio = radio_from_dict(radio_raw)
 
     def entries(key: str, fields: tuple[str, ...], cls) -> tuple:
         out = []
-        for n, raw in enumerate(typed(key, need(data, key, ""), list)):
+        for n, raw in enumerate(_typed(key, need(data, key, ""), list)):
             try:
                 out.append(cls(*(raw[f] for f in fields)))
             except (TypeError, KeyError) as exc:

@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from .lagrangian import Multipliers, Workspace
+from .lagrangian import Multipliers, SiteKey, Workspace
 from .model import Deployment, Solution, cost
-from .scenario import TOLERANCE, DerivedTables, Scenario
-
-SiteKey = tuple[str, int]  # ("ban" | "sbs" | "ma", index)
+from .scenario import TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -69,12 +67,6 @@ class TabuState:
             self.expiry[site] = clock + tenure
 
 
-def _site_cost(scenario: Scenario, site: SiteKey) -> float:
-    kind, idx = site
-    group = {"ban": scenario.ban_sites, "sbs": scenario.sbs_sites, "ma": scenario.ma_sites}[kind]
-    return group[idx].cost
-
-
 def _is_open(deployment: Deployment, site: SiteKey) -> bool:
     kind, idx = site
     bits = deployment.bans if kind == "ban" else deployment.sbss if kind == "sbs" else deployment.mas
@@ -105,38 +97,22 @@ def apply_move(deployment: Deployment, move: SiteMove) -> Deployment:
     return _with_site(_with_site(deployment, closed, 0), opened, 1)
 
 
-def _level_sites(scenario: Scenario, level: str, workspace: Optional[Workspace]) -> list[SiteKey]:
-    if level == "ban":
-        return [("ban", k) for k in range(len(scenario.ban_sites))]
-    sites: list[SiteKey] = []
-    if workspace is None or workspace.allow_sbs:
-        sites += [("sbs", i) for i in range(len(scenario.sbs_sites))]
-    if workspace is None or workspace.allow_ma:
-        sites += [("ma", j) for j in range(len(scenario.ma_sites))]
-    return sites
-
-
-def initial_deployment(
-    scenario: Scenario, budget: float, workspace: Optional[Workspace] = None
-) -> Deployment:
+def initial_deployment(ws: Workspace, budget: float) -> Deployment:
     """Cheapest-first fill: anchors while they fit, then stations, always
     keeping the total cost within the budget."""
-    dep = Deployment.empty(scenario)
+    dep = Deployment.empty(ws.scenario)
     total = 0.0
-    station_sites = _level_sites(scenario, "station", workspace)
+    site_cost = ws.site_cost
     while total < budget:
-        closed_bans = [("ban", k) for k, b in enumerate(dep.bans) if not b]
-        pick = min(closed_bans, key=lambda s: (_site_cost(scenario, s), s), default=None)
-        if pick is not None and total + _site_cost(scenario, pick) <= budget:
-            dep = _with_site(dep, pick, 1)
-            total += _site_cost(scenario, pick)
-            continue
-        closed = [s for s in station_sites if not _is_open(dep, s)]
-        pick = min(closed, key=lambda s: (_site_cost(scenario, s), s), default=None)
-        if pick is None or total + _site_cost(scenario, pick) > budget:
+        for level in ("ban", "station"):
+            closed = [s for s in ws.sites[level] if not _is_open(dep, s)]
+            pick = min(closed, key=lambda s: (site_cost[s], s), default=None)
+            if pick is not None and total + site_cost[pick] <= budget:
+                dep = _with_site(dep, pick, 1)
+                total += site_cost[pick]
+                break
+        else:
             break
-        dep = _with_site(dep, pick, 1)
-        total += _site_cost(scenario, pick)
     return dep
 
 
@@ -144,18 +120,17 @@ def neighborhood(
     deployment: Deployment,
     level: str,
     budget: float,
-    scenario: Scenario,
-    workspace: Optional[Workspace] = None,
+    ws: Workspace,
     n_swap: Optional[int] = None,
 ) -> list[tuple[SiteMove, Deployment]]:
     """All open/close/swap moves at one level whose result stays within
     budget, in a fixed order (opens, closes, swaps; each by site index)."""
-    sites = _level_sites(scenario, level, workspace)
-    base = cost(deployment, scenario)
+    sites, site_cost = ws.sites[level], ws.site_cost
+    base = cost(deployment, ws.scenario)
     is_open = partial(_is_open, deployment)
     moves: list[SiteMove] = []
     for site in sites:
-        if not is_open(site) and base + _site_cost(scenario, site) <= budget + TOLERANCE:
+        if not is_open(site) and base + site_cost[site] <= budget + TOLERANCE:
             moves.append(SiteMove("open", (site,)))
     for site in sites:
         if is_open(site):
@@ -167,7 +142,7 @@ def neighborhood(
         for opening in sites:
             if opening == closing or is_open(opening):
                 continue
-            if base - _site_cost(scenario, closing) + _site_cost(scenario, opening) <= budget + TOLERANCE:
+            if base - site_cost[closing] + site_cost[opening] <= budget + TOLERANCE:
                 swaps.append(SiteMove("swap", (closing, opening)))
     if n_swap is not None:
         swaps = swaps[:n_swap]
@@ -177,16 +152,15 @@ def neighborhood(
 
 def _diversify(
     deployment: Deployment,
-    scenario: Scenario,
+    ws: Workspace,
     budget: float,
     frequency: dict[SiteKey, int],
     params: SearchParams,
-    workspace: Optional[Workspace],
     rng: random.Random,
 ) -> Deployment:
     """Open the n_div least-frequently deployed station sites, closing random
     incumbents if needed to stay within budget."""
-    sites = _level_sites(scenario, "station", workspace)
+    sites = ws.sites["station"]
     rare = sorted(
         (s for s in sites if not _is_open(deployment, s)),
         key=lambda s: (frequency.get(s, 0), s),
@@ -195,7 +169,7 @@ def _diversify(
     for site in rare:
         dep = _with_site(dep, site, 1)
     opened = list(rare)
-    while cost(dep, scenario) > budget + TOLERANCE:
+    while cost(dep, ws.scenario) > budget + TOLERANCE:
         closable = sorted(s for s in sites if _is_open(dep, s) and s not in opened)
         if closable:
             dep = _with_site(dep, rng.choice(closable), 0)
@@ -229,13 +203,12 @@ def two_level_search(
     index; an empty station neighbourhood ends the inner loop without
     advancing the station clock.
     """
-    scenario = ws.scenario
     anchors, stations = TabuState(), TabuState()
     current = start
     station_clock = 0
     for outer in range(params.n_outer):
         visit(current, outer, -1)
-        candidates = neighborhood(current, "ban", budget, scenario, ws, params.n_swap)
+        candidates = neighborhood(current, "ban", budget, ws, params.n_swap)
         if candidates:
             n = choose(outer, -1, candidates, partial(anchors.is_tabu, clock=outer))
             if n is not None:
@@ -244,12 +217,12 @@ def two_level_search(
 
         for inner in range(params.n_inner):
             visit(current, outer, inner)
-            candidates = neighborhood(current, "station", budget, scenario, ws, params.n_swap)
+            candidates = neighborhood(current, "station", budget, ws, params.n_swap)
             if not candidates:
                 break
             n = choose(outer, inner, candidates, partial(stations.is_tabu, clock=station_clock))
             if n is None:
-                current = _diversify(current, scenario, budget, frequency, params, ws, rng)
+                current = _diversify(current, ws, budget, frequency, params, rng)
                 stations.expiry.clear()
                 diversified(current)
             else:
@@ -273,21 +246,17 @@ def write_trace_csv(path, rows) -> None:
 
 
 def solve_relaxed(
-    scenario: Scenario,
-    tables: DerivedTables,
-    budget: float,
+    ws: Workspace,
     multipliers: Multipliers,
-    theta: float,
+    budget: float,
     params: SearchParams,
-    workspace: Optional[Workspace] = None,
     trace: Optional[list] = None,
 ) -> tuple[Solution, float]:
     """Best deployment found for the relaxed problem within the budget, with
     its greedy connection plan and relaxed value."""
-    ws = workspace or Workspace(scenario, tables, theta=theta)
-    start = initial_deployment(scenario, budget, ws)
+    start = initial_deployment(ws, budget)
     incumbent, incumbent_value = start, ws.evaluate(start, multipliers)
-    station_sites = _level_sites(scenario, "station", ws)
+    station_sites = ws.sites["station"]
     frequency: dict[SiteKey, int] = {}
     diversifying = None  # the trace row of a station step that picked nothing
 

@@ -76,6 +76,32 @@ class TestGen:
         assert main(["gen", "--config", cfg, "--out", "z.json"]) == 2
 
 
+class TestMalformedConfig:
+    """A malformed --config exits 2 naming the field or section, without a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            ("gen", {"gen": {"radio": {"access": {"foo": 1}}}}, "'radio.access'"),
+            ("gen", {"gen": {"radio": 5}}, "'radio'"),
+            ("gen", {"gen": [1]}, "gen config"),
+            ("gen", {"gen": {"n_sbs": -1}}, "n_sbs"),
+            ("gen", {"gen": {"ban_positions": [[1]]}}, "ban_positions"),
+            ("solve", {"search": [1, 2]}, "search config"),
+        ],
+        ids=["link-key", "radio-number", "gen-list", "negative-count", "short-position", "search-list"],
+    )
+    def test_exits_2_naming_it(self, workdir, capsys, command, config, field):
+        cfg = write_config(Path("cfg.json"), config)
+        if command == "gen":
+            argv = ["gen", "--out", "z.json"]
+        else:
+            argv = ["solve", str(tiny_scenario_file(Path("scen.json")))]
+        assert main([*argv, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+
 class TestDerive:
     def test_writes_sidecar(self, workdir):
         scen = tiny_scenario_file(Path("scen.json"))
@@ -184,6 +210,21 @@ class TestSolve:
         ma = json.loads((a / "manifest.json").read_text())["outputs"]
         mb = json.loads((b / "manifest.json").read_text())["outputs"]
         assert ma == mb
+
+    def test_stale_sidecar_is_reported_and_derived_again(self, workdir, capsys):
+        scen = tiny_scenario_file(Path("scen.json"))
+        fresh = self.run_solve(scen, out="fresh")
+        assert main(["derive", str(scen)]) == 0
+        sidecar = Path("scen.json.tables.json")
+        data = json.loads(sidecar.read_text())
+        data["scenario_hash"] = "0" * 64
+        sidecar.write_text(json.dumps(data))
+        capsys.readouterr()
+        stale = self.run_solve(scen, out="stale")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(sidecar) in err
+        outputs = [json.loads((out / "manifest.json").read_text())["outputs"] for out in (fresh, stale)]
+        assert outputs[0] == outputs[1]
 
     def test_theta_zero_makes_fc_equal_f2(self, workdir):
         scen = tiny_scenario_file(Path("scen.json"), seed=90, n_ma=2, n_machines=8)

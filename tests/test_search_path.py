@@ -86,7 +86,7 @@ def search_digests(seed: int, which: str, style: str, params: SearchParams) -> t
     multipliers = random_multipliers(random.Random(seed), scenario, style)
 
     trace = []
-    solution, value = solve_relaxed(scenario, tables, budget, multipliers, THETA, params, trace=trace)
+    solution, value = solve_relaxed(Workspace(scenario, tables, theta=THETA), multipliers, budget, params, trace=trace)
     rows = [
         [outer, inner, best.hex(), incumbent.hex(), move and [move.action, move.sites], hits, diversified]
         for outer, inner, best, incumbent, move, hits, diversified in trace
@@ -97,8 +97,8 @@ def search_digests(seed: int, which: str, style: str, params: SearchParams) -> t
     window = max(s.cost for s in scenario.ban_sites + scenario.sbs_sites + scenario.ma_sites)
     empty = Solution.empty(scenario)
     start_front = [FrontEntry(empty, objectives(empty, scenario, THETA), budget)]
-    search = _FrontSearch(ws, scenario, tables, THETA, budget, window, params, random.Random(seed + 31))
-    front, found = search.run(initial_deployment(scenario, budget, ws), start_front)
+    search = _FrontSearch(ws, budget, window, params, random.Random(seed + 31))
+    front, found = search.run(initial_deployment(ws, budget), start_front)
     entries = [
         [float(e.objectives.cost).hex(), float(e.objectives.weighted_uncovered).hex(), _plan(e.solution)] for e in front
     ]
@@ -113,6 +113,7 @@ def test_search_path_unchanged(case):
 def test_cheapest_budget_of_2007_has_two_empty_anchor_steps():
     scenario, tables = tiny_instance(2007)
     trace = []
-    solve_relaxed(scenario, tables, _budget(scenario, "cheapest"), zero_multipliers(scenario), THETA, GOLDEN, trace=trace)
+    ws = Workspace(scenario, tables, theta=THETA)
+    solve_relaxed(ws, zero_multipliers(scenario), _budget(scenario, "cheapest"), GOLDEN, trace=trace)
     anchor_steps = {outer for outer, inner, *_ in trace if inner == -1}
     assert sorted(set(range(GOLDEN.n_outer)) - anchor_steps) == [1, 2]

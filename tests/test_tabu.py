@@ -38,19 +38,19 @@ class TestSearchParams:
 
 class TestInitialDeployment:
     def test_zero_budget_empty(self):
-        scenario, _ = tiny_instance(61)
-        assert initial_deployment(scenario, 0.0) == Deployment.empty(scenario)
+        scenario, tables = tiny_instance(61)
+        assert initial_deployment(Workspace(scenario, tables), 0.0) == Deployment.empty(scenario)
 
     def test_cheapest_anchor_budget(self):
-        scenario, _ = tiny_instance(62)
+        scenario, tables = tiny_instance(62)
         cheapest = min(s.cost for s in scenario.ban_sites)
-        dep = initial_deployment(scenario, cheapest)
+        dep = initial_deployment(Workspace(scenario, tables), cheapest)
         assert sum(dep.bans) == 1
         assert cost(dep, scenario) == cheapest
 
     def test_full_budget_opens_everything(self):
-        scenario, _ = tiny_instance(63)
-        dep = initial_deployment(scenario, scenario.total_cost())
+        scenario, tables = tiny_instance(63)
+        dep = initial_deployment(Workspace(scenario, tables), scenario.total_cost())
         assert sum(dep.bans) == len(scenario.ban_sites)
         assert sum(dep.sbss) == len(scenario.sbs_sites)
         assert sum(dep.mas) == len(scenario.ma_sites)
@@ -58,18 +58,18 @@ class TestInitialDeployment:
     def test_never_exceeds_budget(self):
         rng = random.Random(9)
         for seed in range(20):
-            scenario, _ = tiny_instance(900 + seed)
+            scenario, tables = tiny_instance(900 + seed)
             budget = rng.uniform(0, scenario.total_cost())
-            dep = initial_deployment(scenario, budget)
+            dep = initial_deployment(Workspace(scenario, tables), budget)
             assert cost(dep, scenario) <= budget + 1e-9
 
 
 class TestNeighborhood:
     def test_move_count_matches_direct_enumeration(self):
-        scenario, _ = tiny_instance(64, n_ban=2, n_sbs=3, n_ma=2)
+        scenario, tables = tiny_instance(64, n_ban=2, n_sbs=3, n_ma=2)
         dep = Deployment.of(scenario, bans=[0], sbss=[1], mas=[0])
         budget = scenario.total_cost()
-        moves = neighborhood(dep, "station", budget, scenario)
+        moves = neighborhood(dep, "station", budget, Workspace(scenario, tables))
         sites = len(scenario.sbs_sites) + len(scenario.ma_sites)
         open_count = 2  # sbs 1 + ma 0
         closed = sites - open_count
@@ -77,28 +77,28 @@ class TestNeighborhood:
         assert len(moves) == expected
 
     def test_full_deployment_has_no_opens(self):
-        scenario, _ = tiny_instance(65)
-        dep = initial_deployment(scenario, scenario.total_cost())
-        moves = neighborhood(dep, "ban", scenario.total_cost(), scenario)
+        scenario, tables = tiny_instance(65)
+        dep = initial_deployment(Workspace(scenario, tables), scenario.total_cost())
+        moves = neighborhood(dep, "ban", scenario.total_cost(), Workspace(scenario, tables))
         assert all(m.action == "close" for m, _ in moves)
 
     def test_empty_level_offers_only_opens(self):
-        scenario, _ = tiny_instance(66)
+        scenario, tables = tiny_instance(66)
         dep = Deployment.empty(scenario)
-        moves = neighborhood(dep, "ban", scenario.total_cost(), scenario)
+        moves = neighborhood(dep, "ban", scenario.total_cost(), Workspace(scenario, tables))
         assert all(m.action == "open" for m, _ in moves)
 
     def test_budget_filter(self):
-        scenario, _ = tiny_instance(67, n_ban=2)
+        scenario, tables = tiny_instance(67, n_ban=2)
         dep = Deployment.empty(scenario)
-        moves = neighborhood(dep, "ban", 5.0, scenario)  # anchors cost 10
+        moves = neighborhood(dep, "ban", 5.0, Workspace(scenario, tables))  # anchors cost 10
         assert moves == []
 
     def test_swap_cap(self):
-        scenario, _ = tiny_instance(68, n_ban=3, n_sbs=3, n_ma=2)
+        scenario, tables = tiny_instance(68, n_ban=3, n_sbs=3, n_ma=2)
         dep = Deployment.of(scenario, sbss=[0, 1], mas=[0])
-        unlimited = neighborhood(dep, "station", scenario.total_cost(), scenario)
-        capped = neighborhood(dep, "station", scenario.total_cost(), scenario, n_swap=1)
+        unlimited = neighborhood(dep, "station", scenario.total_cost(), Workspace(scenario, tables))
+        capped = neighborhood(dep, "station", scenario.total_cost(), Workspace(scenario, tables), n_swap=1)
         swaps = [m for m, _ in unlimited if m.action == "swap"]
         swaps_capped = [m for m, _ in capped if m.action == "swap"]
         assert len(swaps) > 1
@@ -108,20 +108,18 @@ class TestNeighborhood:
     def test_results_stay_within_budget(self):
         rng = random.Random(12)
         for seed in range(10):
-            scenario, _ = tiny_instance(1000 + seed)
+            scenario, tables = tiny_instance(1000 + seed)
             budget = rng.uniform(5, scenario.total_cost())
-            dep = initial_deployment(scenario, budget)
+            dep = initial_deployment(Workspace(scenario, tables), budget)
             for level in ("ban", "station"):
-                for _, new_dep in neighborhood(dep, level, budget, scenario):
+                for _, new_dep in neighborhood(dep, level, budget, Workspace(scenario, tables)):
                     assert cost(new_dep, scenario) <= budget + 1e-9
 
 
 class TestSolveRelaxed:
     def test_budget_below_anchor_costs(self):
         scenario, tables = tiny_instance(71)
-        sol, value = solve_relaxed(
-            scenario, tables, 5.0, zero_multipliers(scenario), THETA, FAST
-        )
+        sol, value = solve_relaxed(Workspace(scenario, tables, theta=THETA), zero_multipliers(scenario), 5.0, FAST)
         assert value == scenario.n_subareas + THETA * scenario.n_machines
 
     def test_deterministic(self):
@@ -129,8 +127,8 @@ class TestSolveRelaxed:
         budget = scenario.total_cost() * 0.7
         lam = zero_multipliers(scenario)
         t1, t2 = [], []
-        a = solve_relaxed(scenario, tables, budget, lam, THETA, FAST, trace=t1)
-        b = solve_relaxed(scenario, tables, budget, lam, THETA, FAST, trace=t2)
+        a = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, FAST, trace=t1)
+        b = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, FAST, trace=t2)
         assert a[1] == b[1]
         assert a[0].deployment == b[0].deployment
         assert t1 == t2
@@ -139,16 +137,17 @@ class TestSolveRelaxed:
         scenario, tables = tiny_instance(73)
         budget = scenario.total_cost() * 0.8
         lam = zero_multipliers(scenario)
-        small = solve_relaxed(scenario, tables, budget, lam, THETA, FAST)
+        small = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, FAST)
         big_params = dataclasses.replace(FAST, n_outer=FAST.n_outer * 2, n_inner=FAST.n_inner * 2)
-        big = solve_relaxed(scenario, tables, budget, lam, THETA, big_params)
+        big = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, big_params)
         assert big[1] <= small[1] + 1e-9
 
     def test_incumbent_nonincreasing(self):
         scenario, tables = tiny_instance(74)
         trace = []
         solve_relaxed(
-            scenario, tables, scenario.total_cost() * 0.7, zero_multipliers(scenario), THETA, FAST, trace=trace
+            Workspace(scenario, tables, theta=THETA), zero_multipliers(scenario), scenario.total_cost() * 0.7, FAST,
+            trace=trace,
         )
         incumbents = [row[3] for row in trace]
         assert all(b <= a + 1e-12 for a, b in zip(incumbents, incumbents[1:]))
@@ -164,7 +163,7 @@ class TestSolveRelaxed:
                 return super().evaluate(deployment, multipliers)
 
         ws = Spy(scenario, tables, theta=THETA)
-        solve_relaxed(scenario, tables, budget, zero_multipliers(scenario), THETA, FAST, workspace=ws)
+        solve_relaxed(ws, zero_multipliers(scenario), budget, FAST)
         assert seen and all(c <= budget + 1e-9 for c in seen)
 
     def test_solution_budget_and_value_consistency(self):
@@ -173,7 +172,7 @@ class TestSolveRelaxed:
             scenario, tables = tiny_instance(1100 + seed)
             budget = rng.uniform(10, scenario.total_cost())
             lam = random_multipliers(rng, scenario)
-            sol, value = solve_relaxed(scenario, tables, budget, lam, THETA, FAST)
+            sol, value = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, FAST)
             assert cost(sol.deployment, scenario) <= budget + 1e-9
 
     def test_diversification_fires_and_stays_valid(self):
@@ -181,7 +180,8 @@ class TestSolveRelaxed:
         params = SearchParams(n_outer=2, n_inner=8, n_div=1, tenure_ban=1, tenure_station=7, seed=3)
         trace = []
         sol, value = solve_relaxed(
-            scenario, tables, scenario.total_cost(), zero_multipliers(scenario), THETA, params, trace=trace
+            Workspace(scenario, tables, theta=THETA), zero_multipliers(scenario), scenario.total_cost(), params,
+            trace=trace,
         )
         assert any(row[6] for row in trace)  # diversified at least once
         assert cost(sol.deployment, scenario) <= scenario.total_cost() + 1e-9
@@ -193,7 +193,7 @@ class TestSolveRelaxed:
             scenario, tables = tiny_instance(1200 + seed)
             budget = scenario.total_cost() * 0.75
             lam = zero_multipliers(scenario)
-            _, value = solve_relaxed(scenario, tables, budget, lam, THETA, generous)
+            _, value = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, generous)
             exact = exact_relaxed_optimum(scenario, tables, lam, budget, THETA)
             assert value >= exact - 1e-9  # never better than possible
             if value <= exact + 1e-9:
@@ -206,7 +206,7 @@ class TestSolveRelaxed:
             scenario, tables = tiny_instance(1300 + seed)
             budget = scenario.total_cost() * rng.uniform(0.4, 1.0)
             lam = random_multipliers(rng, scenario)
-            _, value = solve_relaxed(scenario, tables, budget, lam, THETA, FAST)
+            _, value = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, FAST)
             exact = exact_relaxed_optimum(scenario, tables, lam, budget, THETA)
             assert value >= exact - 1e-9
 
@@ -218,7 +218,8 @@ class TestSolveRelaxed:
         scenario, tables = tiny_instance(77)
         trace = []
         solve_relaxed(
-            scenario, tables, scenario.total_cost(), zero_multipliers(scenario), THETA, FAST, trace=trace
+            Workspace(scenario, tables, theta=THETA), zero_multipliers(scenario), scenario.total_cost(), FAST,
+            trace=trace,
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)

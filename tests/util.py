@@ -270,7 +270,7 @@ def reference_assign(ws, deployment, multipliers):
         - theta * len(anchor.machine_cover)
     )
 
-    unattached = [i for i in deployment.open_sbss() if ws.allow_sbs]
+    unattached = [i for i in deployment.open_sbss() if ws.allow_stations]
     open_bans = deployment.open_bans()
     attached: list[int] = []
 
