@@ -30,6 +30,7 @@ from .scenario import (
     load_tables,
     preset_gen_params,
     radio_from_dict,
+    resolve_theta,
     save_scenario,
     save_tables,
     scenario_hash,
@@ -192,42 +193,50 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _bound_by_eps(bounds) -> dict:
-    return {rec.epsilon: rec for rec in bounds}
-
-
-def _write_front_csv(path: Path, front, bounds, solution_files) -> None:
-    lookup = _bound_by_eps(bounds)
+def _write_csv(path: Path, header: list[str], rows) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(FRONT_FIELDS)
-        for entry, fname in zip(front, solution_files):
-            rec = lookup.get(entry.epsilon)
-            writer.writerow(
-                [
-                    entry.epsilon,
-                    entry.objectives.cost,
-                    entry.objectives.uncovered_subareas,
-                    entry.objectives.uncovered_machines,
-                    entry.objectives.weighted_uncovered,
-                    rec.bound if rec else "",
-                    (str(rec.heuristic).lower() if rec else ""),
-                    fname,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _write_front_csv(path: Path, front, bounds, solution_files) -> Path:
+    lookup = {rec.epsilon: rec for rec in bounds}
+    rows = []
+    for entry, fname in zip(front, solution_files):
+        rec = lookup.get(entry.epsilon)
+        rows.append(
+            [
+                entry.epsilon,
+                entry.objectives.cost,
+                entry.objectives.uncovered_subareas,
+                entry.objectives.uncovered_machines,
+                entry.objectives.weighted_uncovered,
+                rec.bound if rec else "",
+                (str(rec.heuristic).lower() if rec else ""),
+                fname,
+            ]
+        )
+    return _write_csv(path, FRONT_FIELDS, rows)
+
+
+def _sweep_inputs(args, default_out: str):
+    """Settings, scenario, tables and output directory of solve and oracle."""
+    params = _solve_params(args, _load_config(args.config))
+    scenario = _read_scenario(args.scenario)
+    tables = _tables_for(scenario, args.scenario)
+    out_dir = Path(args.out or default_out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return params, scenario, tables, out_dir
 
 
 def cmd_solve(args) -> int:
     started = time.time()
-    config = _load_config(args.config)
-    params = _solve_params(args, config)
-    scenario = _read_scenario(args.scenario)
-    tables = _tables_for(scenario, args.scenario)
-    out_dir = Path(args.out or "solve-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    params, scenario, tables, out_dir = _sweep_inputs(args, "solve-out")
 
     result = pareto.solve(scenario, tables, params=params)
-    theta = params.theta if params.theta is not None else scenario.radio.mtc_weight
+    theta = resolve_theta(scenario, params.theta)
 
     sol_dir = out_dir / "solutions"
     sol_dir.mkdir(exist_ok=True)
@@ -240,25 +249,12 @@ def cmd_solve(args) -> int:
         solution_files.append(fname)
         outputs.append(path)
 
-    front_csv = out_dir / "front.csv"
-    _write_front_csv(front_csv, result.front, result.bounds, solution_files)
-    outputs.append(front_csv)
-
-    bounds_csv = out_dir / "bounds.csv"
-    with bounds_csv.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "bound", "heuristic_bound"])
-        for rec in result.bounds:
-            writer.writerow([rec.epsilon, rec.bound, str(rec.heuristic).lower()])
-    outputs.append(bounds_csv)
-
+    outputs.append(_write_front_csv(out_dir / "front.csv", result.front, result.bounds, solution_files))
+    bounds = [[rec.epsilon, rec.bound, str(rec.heuristic).lower()] for rec in result.bounds]
+    outputs.append(_write_csv(out_dir / "bounds.csv", ["epsilon", "bound", "heuristic_bound"], bounds))
     if args.trace:
-        trace_csv = out_dir / "multiplier_trace.csv"
-        with trace_csv.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "round", "epsilon", "relaxed_value", "max_multiplier", "violation_norm"])
-            writer.writerows(result.multiplier_trace)
-        outputs.append(trace_csv)
+        header = ["iteration", "round", "epsilon", "relaxed_value", "max_multiplier", "violation_norm"]
+        outputs.append(_write_csv(out_dir / "multiplier_trace.csv", header, result.multiplier_trace))
 
     _write_manifest(
         out_dir,
@@ -300,44 +296,28 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     started = time.time()
-    config = _load_config(args.config)
-    params = _solve_params(args, config)
-    scenario = _read_scenario(args.scenario)
-    tables = _tables_for(scenario, args.scenario)
-    out_dir = Path(args.out or "oracle-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    theta = params.theta if params.theta is not None else scenario.radio.mtc_weight
+    params, scenario, tables, out_dir = _sweep_inputs(args, "oracle-out")
 
-    exact = oracle_mod.exact_front(scenario, tables, theta)
+    exact = oracle_mod.exact_front(scenario, tables, params.theta)
     result = pareto.solve(scenario, tables, params=params)
     heuristic = pareto.front_points(result.front)
 
-    oracle_csv = out_dir / "oracle_front.csv"
-    with oracle_csv.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRONT_FIELDS)
-        for cost_val, fc in exact:
-            writer.writerow(["", cost_val, "", "", fc, "", "false", ""])
+    oracle_rows = [["", cost_val, "", "", fc, "", "false", ""] for cost_val, fc in exact]
+    oracle_csv = _write_csv(out_dir / "oracle_front.csv", FRONT_FIELDS, oracle_rows)
+    heuristic_csv = _write_front_csv(out_dir / "front.csv", result.front, result.bounds, [""] * len(result.front))
 
-    heuristic_csv = out_dir / "front.csv"
-    _write_front_csv(heuristic_csv, result.front, result.bounds, [""] * len(result.front))
-
-    diff_csv = out_dir / "oracle_diff.csv"
-    matches = 0
-    with diff_csv.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["f1", "fc", "status", "heuristic_best_fc"])
-        for cost_val, fc in exact:
-            within = [h_fc for h_cost, h_fc in heuristic if h_cost <= cost_val + TOLERANCE]
-            best = min(within) if within else None
-            if any(abs(h_cost - cost_val) <= TOLERANCE and abs(h_fc - fc) <= TOLERANCE for h_cost, h_fc in heuristic):
-                status = "match"
-                matches += 1
-            elif best is None:
-                status = "missed"
-            else:
-                status = "dominated"
-            writer.writerow([cost_val, fc, status, "" if best is None else best])
+    diff_rows = []
+    for cost_val, fc in exact:
+        best = pareto.best_within(heuristic, cost_val)
+        if any(abs(h_cost - cost_val) <= TOLERANCE and abs(h_fc - fc) <= TOLERANCE for h_cost, h_fc in heuristic):
+            status = "match"
+        elif best is None:
+            status = "missed"
+        else:
+            status = "dominated"
+        diff_rows.append([cost_val, fc, status, "" if best is None else best])
+    diff_csv = _write_csv(out_dir / "oracle_diff.csv", ["f1", "fc", "status", "heuristic_best_fc"], diff_rows)
+    matches = sum(row[2] == "match" for row in diff_rows)
 
     _write_manifest(
         out_dir,
@@ -403,21 +383,11 @@ def cmd_report(args) -> int:
     ]
     report = pareto.gap_report(points, bounds)
 
-    gap_csv = out_dir / "gap_table.csv"
-    with gap_csv.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epsilon", "best_fc", "bound", "ratio", "heuristic_bound"])
-        for r in report.rows:
-            writer.writerow([r.epsilon, r.best_fc, r.bound, r.ratio, str(r.heuristic).lower()])
-
-    plot_csv = out_dir / "plot_data.csv"
-    with plot_csv.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["series", "x", "y"])
-        for f1, fc in sorted(points):
-            writer.writerow(["solution", f1, fc])
-        for rec in bounds:
-            writer.writerow(["bound", rec.epsilon, rec.bound])
+    gap_header = ["epsilon", "best_fc", "bound", "ratio", "heuristic_bound"]
+    gap_rows = [[r.epsilon, r.best_fc, r.bound, r.ratio, str(r.heuristic).lower()] for r in report.rows]
+    gap_csv = _write_csv(out_dir / "gap_table.csv", gap_header, gap_rows)
+    plot_rows = [["solution", f1, fc] for f1, fc in sorted(points)] + [["bound", r.epsilon, r.bound] for r in bounds]
+    plot_csv = _write_csv(out_dir / "plot_data.csv", ["series", "x", "y"], plot_rows)
 
     _write_manifest(
         out_dir, "report", {"skipped_epsilons": report.skipped}, [gap_csv, plot_csv], started,
@@ -443,12 +413,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_arg=True):
+    def common(p, scenario_arg=True, sweep=False):
         if scenario_arg:
             p.add_argument("scenario", help="scenario JSON file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="JSON file with gen/solve/search overrides")
         p.add_argument("--out", default=None)
+        if sweep:  # the solve settings that _solve_params reads from flags
+            p.add_argument("--theta", type=float, default=None)
+            p.add_argument("--delta-c", dest="delta_c", type=float, default=None)
+            p.add_argument("--delta-eps", dest="delta_eps", type=float, default=None)
+            p.add_argument("--restrict", default=None, choices=list(pareto.RESTRICTIONS))
+            p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
 
     p = sub.add_parser("gen", help="generate a scenario file")
     common(p, scenario_arg=False)
@@ -460,12 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("solve", help="run the budget sweep")
-    common(p)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--delta-c", dest="delta_c", type=float, default=None)
-    p.add_argument("--delta-eps", dest="delta_eps", type=float, default=None)
-    p.add_argument("--restrict", default=None, choices=list(pareto.RESTRICTIONS))
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
+    common(p, sweep=True)
     p.add_argument("--trace", action="store_true", help="write the multiplier trace CSV")
     p.set_defaults(func=cmd_solve)
 
@@ -476,12 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="exact front for a tiny scenario plus a diff vs the solver")
-    common(p)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--delta-c", dest="delta_c", type=float, default=None)
-    p.add_argument("--delta-eps", dest="delta_eps", type=float, default=None)
-    p.add_argument("--restrict", default=None, choices=list(pareto.RESTRICTIONS))
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
+    common(p, sweep=True)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("report", help="gap table and plot data from solve outputs")

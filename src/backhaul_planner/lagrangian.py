@@ -30,11 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ConnectionPlan, Deployment, IntegrityError, ParentRef, Solution, root_path, sbs_loads
-from .scenario import TOLERANCE, DerivedTables, Scenario
+from .model import ConnectionPlan, Deployment, IntegrityError, ParentRef, SiteKey, Solution, root_path, sbs_loads
+from .scenario import TOLERANCE, DerivedTables, Scenario, resolve_theta
 
 Multipliers = tuple[float, ...]
-SiteKey = tuple[str, int]  # ("ban" | "sbs" | "ma", index)
 RESTRICTIONS = ("none", "fiber-only", "single-hop")
 
 
@@ -79,7 +78,7 @@ class Workspace:
             raise ValueError(f"restrict must be one of {RESTRICTIONS}")
         self.scenario = scenario
         self.tables = tables
-        self.theta = scenario.radio.mtc_weight if theta is None else theta
+        self.theta = resolve_theta(scenario, theta)
         self.max_hops = 1 if restrict == "single-hop" else scenario.max_relays + 1
         self.allow_stations = restrict != "fiber-only"
 
@@ -132,7 +131,7 @@ class Workspace:
 
     def evaluate(self, deployment: Deployment, multipliers: Multipliers) -> float:
         """Memoized relaxed value of the greedy connection assignment."""
-        key = (deployment.bans, deployment.sbss, deployment.mas, multipliers)
+        key = (deployment.sites, multipliers)
         hit = self._value_cache.get(key)
         if hit is None:
             hit = _assign(self, deployment, multipliers).value
@@ -159,13 +158,13 @@ class AnchorPhase:
 
 
 def _anchor_phase(ws: Workspace, deployment: Deployment) -> AnchorPhase:
-    key = (deployment.bans, deployment.mas)
+    open_bans, open_mas = deployment.open_bans(), deployment.open_mas()
+    key = (tuple(open_bans), tuple(open_mas))
     hit = ws._anchor_cache.get(key)
     if hit is not None:
         return hit
 
     scenario = ws.scenario
-    open_bans = deployment.open_bans()
     ban_cover: dict[int, int] = {}
     covered = np.zeros(ws.n_sub, dtype=bool)
     if open_bans:
@@ -181,7 +180,7 @@ def _anchor_phase(ws: Workspace, deployment: Deployment) -> AnchorPhase:
     ma_parent: dict[int, int] = {}
     machine_cover: dict[int, int] = {}
     stranded: list[int] = []
-    waiting = deployment.open_mas() if ws.allow_stations else []
+    waiting = open_mas if ws.allow_stations else []
     free = [k for k in open_bans if scenario.ban_slots > 0]
     mach_covered = np.zeros(ws.n_mach, dtype=bool)
     delta = scenario.radio.compression_ratio
@@ -586,7 +585,7 @@ def relaxed_objective(
 def subgradient(solution: Solution, tables: DerivedTables) -> list[float]:
     """Backhaul-load violation (load - limit) per SBS; 0 where unattached."""
     loads = sbs_loads(solution)
-    g = [0.0] * len(solution.deployment.sbss)
+    g = [0.0] * len(tables.sbs_reach)
     for i, parent in solution.plan.sbs_parent.items():
         g[i] = loads.get(i, 0) - tables.sbs_limit(parent, i)
     return g

@@ -1,8 +1,8 @@
 """The deployment problem as executable artifacts.
 
-Solutions pair a deployment bit-vector per station role with a connection
-plan: which station covers each subarea, the backhaul forest over small
-cells, aggregator-to-anchor links, and machine assignments. Feasibility
+Solutions pair a deployment, the set of open candidate sites, with a
+connection plan: which station covers each subarea, the backhaul forest over
+small cells, aggregator-to-anchor links, and machine assignments. Feasibility
 checking returns the complete violation list (violations are data, not
 exceptions) so tests and the CLI can report every broken constraint at once.
 """
@@ -16,6 +16,7 @@ from typing import Optional
 from .scenario import TOLERANCE, DerivedTables, Scenario
 
 ParentRef = tuple[str, int]  # ("ban", k) or ("sbs", p)
+SiteKey = tuple[str, int]  # ("ban" | "sbs" | "ma", index)
 
 
 class IntegrityError(RuntimeError):
@@ -28,42 +29,39 @@ class SolutionFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Deployment:
-    """0/1 open flags aligned with the scenario's candidate site lists."""
+    """The open candidate sites, each named by its ``SiteKey``."""
 
-    bans: tuple[int, ...]
-    sbss: tuple[int, ...]
-    mas: tuple[int, ...]
+    sites: frozenset[SiteKey] = frozenset()
 
     @classmethod
     def empty(cls, scenario: Scenario) -> "Deployment":
-        return cls(
-            (0,) * len(scenario.ban_sites),
-            (0,) * len(scenario.sbs_sites),
-            (0,) * len(scenario.ma_sites),
-        )
+        return cls()
 
     @classmethod
     def of(cls, scenario: Scenario, bans=(), sbss=(), mas=()) -> "Deployment":
-        def bits(n, chosen):
-            out = [0] * n
+        """The deployment opening the given site indices of each role; an
+        index outside the scenario's site list raises IndexError."""
+        sites = set()
+        for kind, group, chosen in (
+            ("ban", scenario.ban_sites, bans), ("sbs", scenario.sbs_sites, sbss), ("ma", scenario.ma_sites, mas)
+        ):
             for i in chosen:
-                out[i] = 1
-            return tuple(out)
+                if not 0 <= i < len(group):
+                    raise IndexError(f"{kind} site {i} is not in [0, {len(group)})")
+                sites.add((kind, i))
+        return cls(frozenset(sites))
 
-        return cls(
-            bits(len(scenario.ban_sites), bans),
-            bits(len(scenario.sbs_sites), sbss),
-            bits(len(scenario.ma_sites), mas),
-        )
+    def _open(self, role: str) -> list[int]:
+        return sorted(i for kind, i in self.sites if kind == role)
 
     def open_bans(self) -> list[int]:
-        return [k for k, b in enumerate(self.bans) if b]
+        return self._open("ban")
 
     def open_sbss(self) -> list[int]:
-        return [i for i, b in enumerate(self.sbss) if b]
+        return self._open("sbs")
 
     def open_mas(self) -> list[int]:
-        return [j for j, b in enumerate(self.mas) if b]
+        return self._open("ma")
 
 
 @dataclass
@@ -115,12 +113,13 @@ class Violation:
 
 
 def cost(deployment: Deployment, scenario: Scenario) -> float:
-    """Total deployment cost of the open sites."""
-    return (
-        sum(s.cost for s, b in zip(scenario.ban_sites, deployment.bans) if b)
-        + sum(s.cost for s, b in zip(scenario.sbs_sites, deployment.sbss) if b)
-        + sum(s.cost for s, b in zip(scenario.ma_sites, deployment.mas) if b)
-    )
+    """Total deployment cost of the open sites: each role summed from 0 in
+    index order, then bans + SBSs + MAs."""
+    groups = {"ban": scenario.ban_sites, "sbs": scenario.sbs_sites, "ma": scenario.ma_sites}
+    totals = dict.fromkeys(groups, 0)
+    for kind, i in sorted(deployment.sites):
+        totals[kind] += groups[kind][i].cost
+    return totals["ban"] + totals["sbs"] + totals["ma"]
 
 
 def objectives(solution: Solution, scenario: Scenario, mtc_weight: float) -> ObjectiveVector:
@@ -199,32 +198,29 @@ def check_feasibility(
     """Every violated constraint of the deployment problem, with stable
     ordering. Empty list means feasible; ``budget`` adds the cost cap."""
     v: list[Violation] = []
-    dep, plan = solution.deployment, solution.plan
+    open_sites, plan = solution.deployment.sites, solution.plan
+    n_ban, n_sbs, n_ma = len(scenario.ban_sites), len(scenario.sbs_sites), len(scenario.ma_sites)
     add = v.append
 
     # connections may only touch open stations
     for subarea, k in sorted(plan.ban_cover.items()):
-        if not (0 <= k < len(dep.bans)) or not dep.bans[k]:
+        if ("ban", k) not in open_sites:
             add(Violation("cover-undeployed", (k, subarea), f"ban {k} covers subarea {subarea} but is not open"))
     for subarea, i in sorted(plan.sbs_cover.items()):
-        if not (0 <= i < len(dep.sbss)) or not dep.sbss[i]:
+        if ("sbs", i) not in open_sites:
             add(Violation("cover-undeployed", (i, subarea), f"sbs {i} covers subarea {subarea} but is not open"))
-    def is_open(bits, idx) -> bool:
-        return 0 <= idx < len(bits) and bool(bits[idx])
-
     for i, (kind, p) in sorted(plan.sbs_parent.items()):
-        if not is_open(dep.sbss, i):
+        if ("sbs", i) not in open_sites:
             add(Violation("link-undeployed", (i,), f"sbs {i} has a backhaul link but is not open"))
-        parent_open = is_open(dep.bans, p) if kind == "ban" else (is_open(dep.sbss, p) and p != i)
-        if not parent_open:
+        if (kind, p) not in open_sites or (kind, p) == ("sbs", i):
             add(Violation("link-undeployed", (i, kind, p), f"sbs {i} hangs off closed {kind} {p}"))
     for j, k in sorted(plan.ma_parent.items()):
-        if not is_open(dep.mas, j):
+        if ("ma", j) not in open_sites:
             add(Violation("link-undeployed", (j,), f"ma {j} has a backhaul link but is not open"))
-        if not is_open(dep.bans, k):
+        if ("ban", k) not in open_sites:
             add(Violation("link-undeployed", (j, "ban", k), f"ma {j} hangs off closed ban {k}"))
     for m, j in sorted(plan.machine_cover.items()):
-        if not is_open(dep.mas, j):
+        if ("ma", j) not in open_sites:
             add(Violation("cover-undeployed", (j, m), f"ma {j} covers machine {m} but is not open"))
 
     # unique coverage per subarea
@@ -236,12 +232,12 @@ def check_feasibility(
     for subarea, k in sorted(plan.ban_cover.items()):
         if not (0 <= subarea < n_sub):
             add(Violation("access-distance", (k, subarea), f"subarea {subarea} does not exist"))
-        elif 0 <= k < len(dep.bans) and tables.ban_subarea_m[k][subarea] > tables.ban_radius_m + TOLERANCE:
+        elif 0 <= k < n_ban and tables.ban_subarea_m[k][subarea] > tables.ban_radius_m + TOLERANCE:
             add(Violation("access-distance", (k, subarea), f"subarea {subarea} out of range of ban {k}"))
     for subarea, i in sorted(plan.sbs_cover.items()):
         if not (0 <= subarea < n_sub):
             add(Violation("access-distance", (i, subarea), f"subarea {subarea} does not exist"))
-        elif 0 <= i < len(dep.sbss) and tables.sbs_subarea_m[i][subarea] > tables.sbs_radius_m + TOLERANCE:
+        elif 0 <= i < n_sbs and tables.sbs_subarea_m[i][subarea] > tables.sbs_radius_m + TOLERANCE:
             add(Violation("access-distance", (i, subarea), f"subarea {subarea} out of range of sbs {i}"))
     reach_by_ma = {j: set(r) for j, r in enumerate(tables.ma_reach)}
     for m, j in sorted(plan.machine_cover.items()):
@@ -260,11 +256,11 @@ def check_feasibility(
             add(Violation("ban-slots", (k,), f"ban {k} serves {slot_use[k]} > {scenario.ban_slots} stations"))
 
     # every open SBS needs exactly one backhaul parent
-    for i in dep.open_sbss():
+    for i in solution.deployment.open_sbss():
         if i not in plan.sbs_parent:
             add(Violation("sbs-backhaul", (i,), f"open sbs {i} has no backhaul link"))
     # every open MA needs a BAN link
-    for j in dep.open_mas():
+    for j in solution.deployment.open_mas():
         if j not in plan.ma_parent:
             add(Violation("ma-backhaul", (j,), f"open ma {j} has no backhaul link"))
 
@@ -284,10 +280,9 @@ def check_feasibility(
     loads = sbs_loads(solution, paths)
 
     # per-SBS backhaul load against the capacity-derived subarea limit
-    n_sbs = len(dep.sbss)
     for i in sorted(plan.sbs_parent):
         kind, p = plan.sbs_parent[i]
-        if not (0 <= i < n_sbs and 0 <= p < (len(dep.bans) if kind == "ban" else n_sbs)):
+        if not (0 <= i < n_sbs and 0 <= p < (n_ban if kind == "ban" else n_sbs)):
             continue  # already reported as link-undeployed
         limit = tables.sbs_limit((kind, p), i)
         if loads.get(i, 0) > limit:
@@ -303,7 +298,7 @@ def check_feasibility(
         if len(machines) > tables.machine_limit:
             add(Violation("ma-machine-limit", (j,), f"ma {j} covers {len(machines)} > {tables.machine_limit} machines"))
         k = plan.ma_parent.get(j)
-        if k is not None and 0 <= k < len(dep.bans) and 0 <= j < len(dep.mas):
+        if k is not None and 0 <= k < n_ban and 0 <= j < n_ma:
             demand = sum(
                 scenario.machines[m].rate_bps for m in machines if 0 <= m < scenario.n_machines
             ) * delta

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import ParentRef
-from .scenario import TOLERANCE, DerivedTables, Scenario
+from .scenario import TOLERANCE, DerivedTables, Scenario, resolve_theta
 
 
 class OracleLimitError(RuntimeError):
@@ -444,8 +444,7 @@ def exact_front(
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> list[tuple[float, float]]:
     """The exact nondominated (cost, weighted-uncoverage) set."""
-    theta = scenario.radio.mtc_weight if theta is None else theta
-    return _enumerator(scenario, tables, theta, limits).front()
+    return _enumerator(scenario, tables, resolve_theta(scenario, theta), limits).front()
 
 
 def exact_relaxed_optimum(
@@ -457,8 +456,8 @@ def exact_relaxed_optimum(
     limits: OracleLimits = DEFAULT_LIMITS,
 ) -> float:
     """Exhaustive minimum of the relaxed objective within the cost budget."""
-    theta = scenario.radio.mtc_weight if theta is None else theta
-    return _enumerator(scenario, tables, theta, limits).relaxed_optimum(tuple(multipliers), budget)
+    enumerator = _enumerator(scenario, tables, resolve_theta(scenario, theta), limits)
+    return enumerator.relaxed_optimum(tuple(multipliers), budget)
 
 
 def best_feasible_at(front: list[tuple[float, float]], budget: float) -> float:

@@ -29,8 +29,18 @@ from .model import (
     objectives,
     root_path,
 )
-from .scenario import TOLERANCE, DerivedTables, Scenario
+from .scenario import RADIO_BOUNDS, TOLERANCE, ConfigFieldError, DerivedTables, Scenario, check_fields
 from .tabu import SearchParams
+
+
+# theta is the MTC weight, so it follows the scenario's rule for that
+_SOLVE_RULES = {
+    "theta": {**RADIO_BOUNDS["mtc_weight"], "optional": True},
+    "delta_c": {"above": 0.0},
+    "delta_eps": {"minimum": 0.0, "optional": True},
+    "n_lagrangian": {"integer": True, "minimum": 1},
+    "max_iterations": {"integer": True, "minimum": 0, "optional": True},
+}
 
 
 @dataclass(frozen=True)
@@ -44,12 +54,9 @@ class SolveParams:
     search: SearchParams = SearchParams()
 
     def __post_init__(self):
-        if self.delta_c <= 0:
-            raise ValueError("delta_c must be positive")
+        check_fields("solve", self, _SOLVE_RULES, ConfigFieldError)
         if self.restrict not in RESTRICTIONS:
             raise ValueError(f"restrict must be one of {RESTRICTIONS}")
-        if self.n_lagrangian < 1:
-            raise ValueError("n_lagrangian must be positive")
 
 
 @dataclass
@@ -86,16 +93,9 @@ def repair_solution(solution: Solution, scenario: Scenario, tables: DerivedTable
     sol = solution.copy()
     plan = sol.plan
 
-    stranded_sbs = [i for i in sol.deployment.open_sbss() if i not in plan.sbs_parent]
-    stranded_ma = [j for j in sol.deployment.open_mas() if j not in plan.ma_parent]
-    if stranded_sbs or stranded_ma:
-        sbss = list(sol.deployment.sbss)
-        mas = list(sol.deployment.mas)
-        for i in stranded_sbs:
-            sbss[i] = 0
-        for j in stranded_ma:
-            mas[j] = 0
-        sol.deployment = Deployment(sol.deployment.bans, tuple(sbss), tuple(mas))
+    links = {"sbs": plan.sbs_parent, "ma": plan.ma_parent}
+    stranded = {(kind, i) for kind, i in sol.deployment.sites if kind != "ban" and i not in links[kind]}
+    sol.deployment = Deployment(sol.deployment.sites - stranded)
 
     for s in [s for s, i in plan.sbs_cover.items() if i not in plan.sbs_parent]:
         del plan.sbs_cover[s]
@@ -178,7 +178,7 @@ def _violation_norm(g: list[float]) -> float:
     return math.sqrt(sum(x * x for x in g if x > 0))
 
 
-def _best_within(points: list[tuple[float, float]], epsilon: float) -> Optional[float]:
+def best_within(points: list[tuple[float, float]], epsilon: float) -> Optional[float]:
     """Least weighted uncoverage among (cost, fc) points within a budget."""
     return min((fc for f1, fc in points if f1 <= epsilon + TOLERANCE), default=None)
 
@@ -197,7 +197,7 @@ class _FrontSearch:
         self.cache: dict = {}
 
     def evaluate(self, deployment: Deployment):
-        key = (deployment.bans, deployment.sbss, deployment.mas)
+        key = deployment.sites
         if key in self.cache:
             return self.cache[key]
         ws = self.ws
@@ -287,7 +287,7 @@ def solve(
             break
         epsilons.append(epsilon)
         multipliers: Multipliers = zero_multipliers(scenario)
-        best_upper = _best_within(front_points(front), epsilon)
+        best_upper = best_within(front_points(front), epsilon)
         if best_upper is None:
             best_upper = scenario.n_subareas + theta * scenario.n_machines
 
@@ -319,10 +319,9 @@ def solve(
         found: list[FrontEntry] = []
         seen_deps = set()
         for sol in round_solutions:
-            key = (sol.deployment.bans, sol.deployment.sbss, sol.deployment.mas)
-            if key in seen_deps:
+            if sol.deployment.sites in seen_deps:
                 continue
-            seen_deps.add(key)
+            seen_deps.add(sol.deployment.sites)
             repaired = repair_solution(sol, scenario, tables)
             obj = objectives(repaired, scenario, theta)
             if obj.cost <= epsilon + TOLERANCE and not check_feasibility(repaired, scenario, tables):
@@ -351,7 +350,7 @@ def solve(
     points = front_points(front)
     bounds = []
     for epsilon, bound in zip(epsilons, raw_bounds):
-        best = _best_within(points, epsilon)
+        best = best_within(points, epsilon)
         bounds.append(BoundRecord(epsilon, bound if best is None else min(bound, best), True))
     return SolveResult(front, bounds, epsilons, trace)
 
@@ -388,7 +387,7 @@ def gap_report(points: list[tuple[float, float]], bounds: list[BoundRecord]) -> 
     rows: list[GapRow] = []
     skipped: list[float] = []
     for rec in bounds:
-        best = _best_within(points, rec.epsilon)
+        best = best_within(points, rec.epsilon)
         if best is None or rec.bound <= 0:
             skipped.append(rec.epsilon)
             continue

@@ -39,18 +39,37 @@ class ScenarioFormatError(ValueError):
         super().__init__(f"scenario field '{fieldname}': {message}")
 
 
-def _check_number(fieldname: str, value, *, integer: bool = False, minimum=None, above=None) -> None:
+class ConfigFieldError(ValueError):
+    """A solve or search setting breaks its rules; the message names it."""
+
+    def __init__(self, fieldname: str, message: str):
+        super().__init__(f"config field '{fieldname}': {message}")
+
+
+def _check_number(
+    fieldname: str, value, *, integer=False, minimum=None, above=None, optional=False, error=ScenarioFormatError
+) -> None:
     """Reject a non-number (bools included), NaN, an infinity, and a value
-    below ``minimum`` or not above ``above``; the error names the field."""
+    below ``minimum`` or not above ``above``; None passes when ``optional``.
+    The ``error`` raised names the field."""
+    if optional and value is None:
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
         expected = "an integer" if integer else "a number"
-        raise ScenarioFormatError(fieldname, f"expected {expected}, got {value!r}")
+        raise error(fieldname, f"expected {expected}, got {value!r}")
     if not math.isfinite(value):
-        raise ScenarioFormatError(fieldname, f"must be finite, got {value!r}")
+        raise error(fieldname, f"must be finite, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ScenarioFormatError(fieldname, f"must be at least {minimum}, got {value!r}")
+        raise error(fieldname, f"must be at least {minimum}, got {value!r}")
     if above is not None and value <= above:
-        raise ScenarioFormatError(fieldname, f"must be greater than {above}, got {value!r}")
+        raise error(fieldname, f"must be greater than {above}, got {value!r}")
+
+
+def check_fields(prefix: str, obj, rules: dict, error=ScenarioFormatError) -> None:
+    """``_check_number`` on each field of ``obj`` that ``rules`` names, with
+    that field's rules; the error names it ``<prefix>.<field>``."""
+    for name, bounds in rules.items():
+        _check_number(f"{prefix}.{name}", getattr(obj, name), error=error, **bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +122,12 @@ class RadioConfig:
 
     def __post_init__(self):
         """Fields are named as in the scenario file (``radio.<name>``)."""
-        for name, bounds in _RADIO_BOUNDS.items():
-            _check_number(f"radio.{name}", getattr(self, name), **bounds)
+        check_fields("radio", self, RADIO_BOUNDS)
         for role in ("access", "backhaul"):
             link = getattr(self, role)
             if not isinstance(link, LinkClassParams):
                 raise ScenarioFormatError(f"radio.{role}", f"expected link parameters, got {link!r}")
-            for name, bounds in _LINK_BOUNDS.items():
-                _check_number(f"radio.{role}.{name}", getattr(link, name), **bounds)
+            check_fields(f"radio.{role}", link, _LINK_BOUNDS)
         expected = SPEED_OF_LIGHT / self.carrier_hz
         if abs(self.wavelength_m - expected) > 1e-3 * expected:
             raise ScenarioFormatError(
@@ -126,7 +143,7 @@ class RadioConfig:
 
 
 # Sign constraints of the numeric radio fields; every one must be finite.
-_RADIO_BOUNDS = {
+RADIO_BOUNDS = {
     "carrier_hz": {"above": 0.0},
     "wavelength_m": {"above": 0.0},
     "reference_m": {"above": 0.0},
@@ -443,12 +460,17 @@ class DerivedTables:
         return self.sbs_sbs_limit[idx][sbs]
 
 
+def resolve_theta(scenario: Scenario, theta: Optional[float]) -> float:
+    """The MTC weight in force: ``theta``, or the scenario's when None."""
+    return scenario.radio.mtc_weight if theta is None else theta
+
+
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
-def derive_tables(scenario: Scenario, radio: Optional[RadioConfig] = None) -> DerivedTables:
-    radio = radio or scenario.radio
+def derive_tables(scenario: Scenario) -> DerivedTables:
+    radio = scenario.radio
     centers = scenario.subarea_centers
     cap = scenario.diagonal
     s_count = scenario.n_subareas

@@ -21,9 +21,17 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from .lagrangian import Multipliers, SiteKey, Workspace
-from .model import Deployment, Solution, cost
-from .scenario import TOLERANCE
+from .lagrangian import Multipliers, Workspace
+from .model import Deployment, SiteKey, Solution, cost
+from .scenario import TOLERANCE, ConfigFieldError, check_fields
+
+
+_SEARCH_RULES = {
+    **dict.fromkeys(("n_outer", "n_inner", "n_div"), {"integer": True, "minimum": 1}),
+    "n_swap": {"integer": True, "minimum": 0, "optional": True},
+    **dict.fromkeys(("tenure_ban", "tenure_station"), {"integer": True, "minimum": 0}),
+    "seed": {"integer": True},
+}
 
 
 @dataclass(frozen=True)
@@ -37,14 +45,9 @@ class SearchParams:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_outer, self.n_inner, self.n_div) < 1:
-            raise ValueError("iteration budgets and n_div must be positive")
-        if self.tenure_ban < 0 or self.tenure_station < 0:
-            raise ValueError("tenures must be nonnegative")
+        check_fields("search", self, _SEARCH_RULES, ConfigFieldError)
         if self.tenure_ban >= self.n_outer or self.tenure_station >= self.n_inner:
             raise ValueError("tenures must stay below their iteration budgets")
-        if self.n_swap is not None and self.n_swap < 0:
-            raise ValueError("n_swap must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -67,34 +70,10 @@ class TabuState:
             self.expiry[site] = clock + tenure
 
 
-def _is_open(deployment: Deployment, site: SiteKey) -> bool:
-    kind, idx = site
-    bits = deployment.bans if kind == "ban" else deployment.sbss if kind == "sbs" else deployment.mas
-    return bool(bits[idx])
-
-
-def _with_site(deployment: Deployment, site: SiteKey, value: int) -> Deployment:
-    kind, idx = site
-
-    def flip(bits):
-        out = list(bits)
-        out[idx] = value
-        return tuple(out)
-
-    if kind == "ban":
-        return Deployment(flip(deployment.bans), deployment.sbss, deployment.mas)
-    if kind == "sbs":
-        return Deployment(deployment.bans, flip(deployment.sbss), deployment.mas)
-    return Deployment(deployment.bans, deployment.sbss, flip(deployment.mas))
-
-
 def apply_move(deployment: Deployment, move: SiteMove) -> Deployment:
-    if move.action == "open":
-        return _with_site(deployment, move.sites[0], 1)
-    if move.action == "close":
-        return _with_site(deployment, move.sites[0], 0)
-    closed, opened = move.sites
-    return _with_site(_with_site(deployment, closed, 0), opened, 1)
+    """Flip the move's sites: an open adds its site, a close removes it, and
+    a swap removes the open first site and adds the closed second one."""
+    return Deployment(deployment.sites.symmetric_difference(move.sites))
 
 
 def initial_deployment(ws: Workspace, budget: float) -> Deployment:
@@ -105,10 +84,10 @@ def initial_deployment(ws: Workspace, budget: float) -> Deployment:
     site_cost = ws.site_cost
     while total < budget:
         for level in ("ban", "station"):
-            closed = [s for s in ws.sites[level] if not _is_open(dep, s)]
+            closed = [s for s in ws.sites[level] if s not in dep.sites]
             pick = min(closed, key=lambda s: (site_cost[s], s), default=None)
             if pick is not None and total + site_cost[pick] <= budget:
-                dep = _with_site(dep, pick, 1)
+                dep = Deployment(dep.sites | {pick})
                 total += site_cost[pick]
                 break
         else:
@@ -127,20 +106,20 @@ def neighborhood(
     budget, in a fixed order (opens, closes, swaps; each by site index)."""
     sites, site_cost = ws.sites[level], ws.site_cost
     base = cost(deployment, ws.scenario)
-    is_open = partial(_is_open, deployment)
+    open_sites = deployment.sites
     moves: list[SiteMove] = []
     for site in sites:
-        if not is_open(site) and base + site_cost[site] <= budget + TOLERANCE:
+        if site not in open_sites and base + site_cost[site] <= budget + TOLERANCE:
             moves.append(SiteMove("open", (site,)))
     for site in sites:
-        if is_open(site):
+        if site in open_sites:
             moves.append(SiteMove("close", (site,)))
     swaps: list[SiteMove] = []
     for closing in sites:
-        if not is_open(closing):
+        if closing not in open_sites:
             continue
         for opening in sites:
-            if opening == closing or is_open(opening):
+            if opening in open_sites:
                 continue
             if base - site_cost[closing] + site_cost[opening] <= budget + TOLERANCE:
                 swaps.append(SiteMove("swap", (closing, opening)))
@@ -161,22 +140,19 @@ def _diversify(
     """Open the n_div least-frequently deployed station sites, closing random
     incumbents if needed to stay within budget."""
     sites = ws.sites["station"]
-    rare = sorted(
-        (s for s in sites if not _is_open(deployment, s)),
+    opened = sorted(
+        (s for s in sites if s not in deployment.sites),
         key=lambda s: (frequency.get(s, 0), s),
     )[: params.n_div]
-    dep = deployment
-    for site in rare:
-        dep = _with_site(dep, site, 1)
-    opened = list(rare)
+    dep = Deployment(deployment.sites.union(opened))
     while cost(dep, ws.scenario) > budget + TOLERANCE:
-        closable = sorted(s for s in sites if _is_open(dep, s) and s not in opened)
+        closable = sorted(s for s in sites if s in dep.sites and s not in opened)
         if closable:
-            dep = _with_site(dep, rng.choice(closable), 0)
+            dep = Deployment(dep.sites - {rng.choice(closable)})
             continue
         if not opened:
             break
-        dep = _with_site(dep, opened.pop(), 0)
+        dep = Deployment(dep.sites - {opened.pop()})
     return dep
 
 
@@ -267,7 +243,7 @@ def solve_relaxed(
     def visit(dep: Deployment, outer: int, inner: int) -> None:
         if inner >= 0:
             for site in station_sites:
-                if _is_open(dep, site):
+                if site in dep.sites:
                     frequency[site] = frequency.get(site, 0) + 1
 
     def choose(outer, inner, candidates, is_tabu):

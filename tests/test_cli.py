@@ -88,8 +88,19 @@ class TestMalformedConfig:
             ("gen", {"gen": {"n_sbs": -1}}, "n_sbs"),
             ("gen", {"gen": {"ban_positions": [[1]]}}, "ban_positions"),
             ("solve", {"search": [1, 2]}, "search config"),
+            ("solve", {"solve": {"theta": "x"}}, "'solve.theta'"),
+            ("solve", {"solve": {"theta": -1}}, "'solve.theta'"),
+            ("solve", {"solve": {"delta_eps": "x"}}, "'solve.delta_eps'"),
+            ("solve", {"solve": {"n_lagrangian": 1.5}}, "'solve.n_lagrangian'"),
+            ("solve", {"solve": {"max_iterations": "2"}}, "'solve.max_iterations'"),
+            ("solve", {"search": {"n_outer": 2.5}}, "'search.n_outer'"),
+            ("solve", {"search": {"n_swap": "x"}}, "'search.n_swap'"),
         ],
-        ids=["link-key", "radio-number", "gen-list", "negative-count", "short-position", "search-list"],
+        ids=[
+            "link-key", "radio-number", "gen-list", "negative-count", "short-position", "search-list",
+            "theta-text", "theta-negative", "delta-eps-text", "n-lagrangian-fraction", "max-iterations-text",
+            "n-outer-fraction", "n-swap-text",
+        ],
     )
     def test_exits_2_naming_it(self, workdir, capsys, command, config, field):
         cfg = write_config(Path("cfg.json"), config)

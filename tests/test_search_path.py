@@ -67,10 +67,13 @@ def _budget(scenario, which: str) -> float:
     return scenario.total_cost() * (0.5 if which == "half" else 1.0)
 
 
-def _plan(solution):
-    plan = solution.plan
+def _plan(solution, scenario):
+    """The solution as digested rows: a 0/1 open flag per candidate site of
+    each role, then the connection plan."""
+    plan, sites = solution.plan, solution.deployment.sites
+    groups = (("ban", scenario.ban_sites), ("sbs", scenario.sbs_sites), ("ma", scenario.ma_sites))
     return [
-        solution.deployment.bans, solution.deployment.sbss, solution.deployment.mas,
+        *([int((kind, i) in sites) for i in range(len(group))] for kind, group in groups),
         sorted(plan.ban_cover.items()), sorted(plan.sbs_cover.items()),
         sorted(plan.sbs_parent.items()), sorted(plan.ma_parent.items()), sorted(plan.machine_cover.items()),
     ]
@@ -91,7 +94,7 @@ def search_digests(seed: int, which: str, style: str, params: SearchParams) -> t
         [outer, inner, best.hex(), incumbent.hex(), move and [move.action, move.sites], hits, diversified]
         for outer, inner, best, incumbent, move, hits, diversified in trace
     ]
-    relaxed = _digest([rows, value.hex(), _plan(solution)])
+    relaxed = _digest([rows, value.hex(), _plan(solution, scenario)])
 
     ws = Workspace(scenario, tables, theta=THETA)
     window = max(s.cost for s in scenario.ban_sites + scenario.sbs_sites + scenario.ma_sites)
@@ -100,7 +103,7 @@ def search_digests(seed: int, which: str, style: str, params: SearchParams) -> t
     search = _FrontSearch(ws, budget, window, params, random.Random(seed + 31))
     front, found = search.run(initial_deployment(ws, budget), start_front)
     entries = [
-        [float(e.objectives.cost).hex(), float(e.objectives.weighted_uncovered).hex(), _plan(e.solution)] for e in front
+        [float(e.objectives.cost).hex(), float(e.objectives.weighted_uncovered).hex(), _plan(e.solution, scenario)] for e in front
     ]
     return relaxed, _digest([entries, len(found)])
 

@@ -45,15 +45,15 @@ class TestInitialDeployment:
         scenario, tables = tiny_instance(62)
         cheapest = min(s.cost for s in scenario.ban_sites)
         dep = initial_deployment(Workspace(scenario, tables), cheapest)
-        assert sum(dep.bans) == 1
+        assert len(dep.open_bans()) == 1
         assert cost(dep, scenario) == cheapest
 
     def test_full_budget_opens_everything(self):
         scenario, tables = tiny_instance(63)
         dep = initial_deployment(Workspace(scenario, tables), scenario.total_cost())
-        assert sum(dep.bans) == len(scenario.ban_sites)
-        assert sum(dep.sbss) == len(scenario.sbs_sites)
-        assert sum(dep.mas) == len(scenario.ma_sites)
+        assert len(dep.open_bans()) == len(scenario.ban_sites)
+        assert len(dep.open_sbss()) == len(scenario.sbs_sites)
+        assert len(dep.open_mas()) == len(scenario.ma_sites)
 
     def test_never_exceeds_budget(self):
         rng = random.Random(9)
@@ -114,6 +114,38 @@ class TestNeighborhood:
             for level in ("ban", "station"):
                 for _, new_dep in neighborhood(dep, level, budget, Workspace(scenario, tables)):
                     assert cost(new_dep, scenario) <= budget + 1e-9
+
+
+    def test_candidates_change_exactly_the_move_sites(self):
+        scenario, tables = tiny_instance(69, n_ban=2, n_sbs=3, n_ma=2)
+        ws = Workspace(scenario, tables)
+        dep = Deployment.of(scenario, bans=[1], sbss=[0, 2], mas=[1])
+        for level in ("ban", "station"):
+            for move, new in neighborhood(dep, level, scenario.total_cost(), ws):
+                if move.action == "open":
+                    assert move.sites[0] not in dep.sites and new.sites == dep.sites | {move.sites[0]}
+                elif move.action == "close":
+                    assert move.sites[0] in dep.sites and new.sites == dep.sites - {move.sites[0]}
+                else:
+                    closing, opening = move.sites
+                    assert closing in dep.sites and opening not in dep.sites
+                    assert new.sites == (dep.sites - {closing}) | {opening}
+
+    def test_same_open_sites_give_one_cache_entry(self):
+        scenario, tables = tiny_instance(69, n_ban=2, n_sbs=3, n_ma=2)
+        a = Deployment.of(scenario, bans=[0, 1], sbss=[2, 0], mas=[1])
+        b = Deployment.of(scenario, bans=(1, 0), sbss=range(0, 3, 2), mas=[1, 1])
+        assert a == b and hash(a) == hash(b)
+        ws = Workspace(scenario, tables)
+        lam = zero_multipliers(scenario)
+        assert ws.evaluate(a, lam) == ws.evaluate(b, lam)
+        assert len(ws._value_cache) == 1
+
+    @pytest.mark.parametrize("role, index", [("bans", 2), ("sbss", 3), ("mas", 2), ("sbss", -1)])
+    def test_of_rejects_an_index_outside_the_site_list(self, role, index):
+        scenario, _ = tiny_instance(69, n_ban=2, n_sbs=3, n_ma=2)
+        with pytest.raises(IndexError):
+            Deployment.of(scenario, **{role: [index]})
 
 
 class TestSolveRelaxed:

@@ -118,11 +118,11 @@ def poisson_tail_oracle(mean: float, allowed: int) -> float:
 def random_deployment(rng: random.Random, scenario: Scenario, open_p: float = 0.6):
     from backhaul_planner import Deployment
 
-    def bits(n):
-        return tuple(1 if rng.random() < open_p else 0 for _ in range(n))
+    def chosen(n):
+        return [i for i in range(n) if rng.random() < open_p]
 
-    return Deployment(
-        bits(len(scenario.ban_sites)), bits(len(scenario.sbs_sites)), bits(len(scenario.ma_sites))
+    return Deployment.of(
+        scenario, chosen(len(scenario.ban_sites)), chosen(len(scenario.sbs_sites)), chosen(len(scenario.ma_sites))
     )
 
 
