@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -128,18 +129,29 @@ class Workspace:
 
         self._anchor_cache: dict = {}
         self._value_cache: dict = {}
+        self._plan_cache: dict = {}
 
     def evaluate(self, deployment: Deployment, multipliers: Multipliers) -> float:
         """Memoized relaxed value of the greedy connection assignment."""
-        key = (deployment.sites, multipliers)
-        hit = self._value_cache.get(key)
+        hit = self._value_cache.get((deployment.sites, multipliers))
         if hit is None:
-            hit = _assign(self, deployment, multipliers).value
-            self._value_cache[key] = hit
+            hit = self.build_plan(deployment, multipliers).value
         return hit
 
     def build_plan(self, deployment: Deployment, multipliers: Multipliers) -> "AssignResult":
-        return _assign(self, deployment, multipliers)
+        """The greedy connection assignment, memoized until ``clear_plans``.
+        A result is shared by every caller of its key, so none may mutate it."""
+        key = (deployment.sites, multipliers)
+        hit = self._plan_cache.get(key)
+        if hit is None:
+            hit = self._plan_cache[key] = _assign(self, deployment, multipliers)
+            self._value_cache[key] = hit.value
+        return hit
+
+    def clear_plans(self) -> None:
+        """Drop the memoized plans (the values stay); a sweep calls this per
+        budget, since a plan is reused within a budget and never across."""
+        self._plan_cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +243,13 @@ def _anchor_phase(ws: Workspace, deployment: Deployment) -> AnchorPhase:
 
 @dataclass
 class Chain:
+    """A relay chain below an anchor. ``prefix[k]`` is the sum of the
+    multipliers of ``nodes[:k]``, added left to right; ``PathState`` rebuilds
+    it whenever the nodes change."""
+
     ban: int
     nodes: list[int] = field(default_factory=list)
+    prefix: list[float] = field(default_factory=lambda: [0.0])
 
 
 class PathState:
@@ -266,6 +283,7 @@ class PathState:
 
     def attach_to_ban(self, i: int, k: int, r_new: int) -> None:
         chain = Chain(k, [i])
+        self._reprefix(chain)
         self.chain_of[i] = chain
         self.parent[i] = ("ban", k)
         self.slots[k] = self.slots.get(k, 0) + 1
@@ -290,8 +308,12 @@ class PathState:
             if pos + 1 < len(chain.nodes):
                 self.parent[chain.nodes[pos + 1]] = ("sbs", i)
             chain.nodes.insert(pos + 1, i)
+        self._reprefix(chain)
         self.chain_of[i] = chain
         self._cover(i, r_new, freed)
+
+    def _reprefix(self, chain: Chain) -> None:
+        chain.prefix = list(accumulate((self.lam[u] for u in chain.nodes), initial=0.0))
 
     def _cover(self, i: int, r_new: int, freed) -> None:
         chosen = self.assigned.setdefault(i, [])
@@ -340,42 +362,40 @@ def delta_attach_ban(state: PathState, i: int, k: int, avail: int) -> Optional[M
     return Move(dv, i, "ban", k, r_new)
 
 
-def _insert_delta(state: PathState, i: int, p: int, before: bool, avail: int) -> Optional[Move]:
+def _insert_delta(
+    state: PathState, i: int, chain: Chain, pos: int, before: bool, avail: int
+) -> tuple[float, int, list[int]]:
+    """Exact relaxed-objective change of splicing ``i`` in before or after
+    ``chain.nodes[pos]``, with the subareas ``i`` would cover and the
+    downstream stations whose coverage the splice drops. The caller checks
+    the chain's hop limit."""
     ws, lam = state.ws, state.lam
-    chain = state.chain_of[p]
-    if len(chain.nodes) >= ws.max_hops:
-        return None
+    nodes, prefix = chain.nodes, chain.prefix
+    p = nodes[pos]
     lam_i = lam[i]
-    pos = chain.nodes.index(p)
-    prefix = [0.0]
-    for u in chain.nodes:
-        prefix.append(prefix[-1] + lam[u])
 
     if before:
         if pos == 0:
             n_parent_i = int(ws.limit_ban_sbs[chain.ban, i])
             n_parent_p = int(ws.limit_ban_sbs[chain.ban, p])
         else:
-            a = chain.nodes[pos - 1]
+            a = nodes[pos - 1]
             n_parent_i = int(ws.limit_sbs_sbs[a, i])
             n_parent_p = int(ws.limit_sbs_sbs[a, p])
-        downstream = chain.nodes[pos:]
-        prefix_i = prefix[pos]
+        start = pos
         dv = lam[p] * (n_parent_p - int(ws.limit_sbs_sbs[i, p])) - lam_i * n_parent_i
         cap_i = n_parent_i
     else:
-        downstream = chain.nodes[pos + 1 :]
-        prefix_i = prefix[pos + 1]
+        start = pos + 1
         cap_i = int(ws.limit_sbs_sbs[p, i])
         dv = -lam_i * cap_i
-        if downstream:
-            q = downstream[0]
+        if start < len(nodes):
+            q = nodes[start]
             dv += lam[q] * (int(ws.limit_sbs_sbs[p, q]) - int(ws.limit_sbs_sbs[i, q]))
 
     drops: list[int] = []
     freed_count = 0
-    start = pos if before else pos + 1
-    for off, u in enumerate(downstream):
+    for off, u in enumerate(nodes[start:]):
         coeff_old = prefix[start + off] + lam[u] - 1.0
         r_u = state.r(u)
         if coeff_old + lam_i > 0:
@@ -387,23 +407,31 @@ def _insert_delta(state: PathState, i: int, p: int, before: bool, avail: int) ->
         else:
             dv += lam_i * r_u
 
-    coeff_i = prefix_i + lam_i - 1.0
+    coeff_i = prefix[start] + lam_i - 1.0
     if coeff_i > 0:
         r_new = 0
     else:
         r_new = min(cap_i, avail + freed_count)
     dv += coeff_i * r_new
+    return dv, r_new, drops
+
+
+def _insert_move(state: PathState, i: int, p: int, before: bool, avail: int) -> Optional[Move]:
+    chain = state.chain_of[p]
+    if len(chain.nodes) >= state.ws.max_hops:
+        return None
+    dv, r_new, drops = _insert_delta(state, i, chain, chain.nodes.index(p), before, avail)
     return Move(dv, i, "before" if before else "after", p, r_new, tuple(drops))
 
 
 def delta_insert_before(state: PathState, i: int, p: int, avail: int) -> Optional[Move]:
     """Exact delta of splicing ``i`` in as the new parent of ``p``."""
-    return _insert_delta(state, i, p, before=True, avail=avail)
+    return _insert_move(state, i, p, True, avail)
 
 
 def delta_insert_after(state: PathState, i: int, p: int, avail: int) -> Optional[Move]:
     """Exact delta of splicing ``i`` in directly below ``p``."""
-    return _insert_delta(state, i, p, before=False, avail=avail)
+    return _insert_move(state, i, p, False, avail)
 
 
 def apply_move(state: PathState, move: Move) -> None:
@@ -431,11 +459,21 @@ _NO_MOVE = (math.inf,)
 
 
 def _group_move(state: PathState, i: int, group, avail: int) -> Optional[Move]:
-    """Best move of ``i`` into one group: a BAN index or a chain."""
-    if isinstance(group, Chain):
-        moves = (_insert_delta(state, i, p, before, avail) for p in group.nodes for before in (True, False))
-        return min(filter(None, moves), key=Move.sort_key, default=None)
-    return delta_attach_ban(state, i, group, avail)
+    """Best move of ``i`` into one group: a BAN index or a chain. A chain's
+    insertions are ranked by ``Move.sort_key`` without its constant ``sbs``."""
+    if not isinstance(group, Chain):
+        return delta_attach_ban(state, i, group, avail)
+    if len(group.nodes) >= state.ws.max_hops:
+        return None
+    best = None
+    for pos, p in enumerate(group.nodes):
+        for kind in ("before", "after"):
+            dv, r_new, drops = _insert_delta(state, i, group, pos, kind == "before", avail)
+            key = (dv, _KIND_RANK[kind], p)
+            if best is None or key < best[0]:
+                best = (key, kind, r_new, drops)
+    (dv, _, p), kind, r_new, drops = best
+    return Move(dv, i, kind, p, r_new, tuple(drops))
 
 
 def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> AssignResult:

@@ -286,6 +286,7 @@ def solve(
         if params.max_iterations is not None and iteration >= params.max_iterations:
             break
         epsilons.append(epsilon)
+        ws.clear_plans()
         multipliers: Multipliers = zero_multipliers(scenario)
         best_upper = best_within(front_points(front), epsilon)
         if best_upper is None:

@@ -40,7 +40,7 @@ class ScenarioFormatError(ValueError):
 
 
 class ConfigFieldError(ValueError):
-    """A solve or search setting breaks its rules; the message names it."""
+    """A gen, solve or search setting breaks its rules; the message names it."""
 
     def __init__(self, fieldname: str, message: str):
         super().__init__(f"config field '{fieldname}': {message}")
@@ -555,9 +555,30 @@ def derive_tables(scenario: Scenario) -> DerivedTables:
 # ---------------------------------------------------------------------------
 
 
+# each number follows the rule of the scenario field it becomes; a site
+# count may be 0
+_COUNT = {"integer": True, "minimum": 0}
+_GEN_RULES = {
+    "width": {"above": 0.0},
+    "height": {"above": 0.0},
+    "subarea_side": {"above": 0.0},
+    "n_ban": _COUNT,
+    "n_sbs": _COUNT,
+    "n_ma": _COUNT,
+    "n_machines": _COUNT,
+    "ban_cost": {"above": 0.0},
+    "sbs_cost": {"above": 0.0},
+    "ma_cost": {"above": 0.0},
+    "machine_rate_bps": {"above": 0.0},
+    "ban_slots": _COUNT,
+    "max_relays": _COUNT,
+}
+
+
 @dataclass(frozen=True)
 class GenParams:
-    """Inputs to the seeded scenario generator."""
+    """Inputs to the seeded scenario generator; each number is checked and
+    named ``gen.<field>`` in the error."""
 
     width: float = 400.0
     height: float = 400.0
@@ -578,14 +599,12 @@ class GenParams:
     sbs_positions: Optional[tuple[tuple[float, float], ...]] = None
     ma_positions: Optional[tuple[tuple[float, float], ...]] = None
 
+    def __post_init__(self):
+        check_fields("gen", self, _GEN_RULES, ConfigFieldError)
+
 
 def generate_scenario(params: GenParams, seed: int) -> Scenario:
     """Draw a scenario; identical (params, seed) gives an identical instance."""
-    if params.width <= 0 or params.height <= 0:
-        raise ValueError("area must have positive size")
-    for name in ("n_ban", "n_sbs", "n_ma", "n_machines"):
-        if getattr(params, name) < 0:
-            raise ValueError(f"{name} must be nonnegative")
     rng = random.Random(seed)
 
     def draw_sites(n: int, cost: float, explicit) -> tuple[Site, ...]:

@@ -87,6 +87,9 @@ class TestMalformedConfig:
             ("gen", {"gen": [1]}, "gen config"),
             ("gen", {"gen": {"n_sbs": -1}}, "n_sbs"),
             ("gen", {"gen": {"ban_positions": [[1]]}}, "ban_positions"),
+            ("gen", {"gen": {"n_sbs": "x"}}, "'gen.n_sbs'"),
+            ("gen", {"gen": {"n_machines": 2.5}}, "'gen.n_machines'"),
+            ("gen", {"gen": {"width": -5}}, "'gen.width'"),
             ("solve", {"search": [1, 2]}, "search config"),
             ("solve", {"solve": {"theta": "x"}}, "'solve.theta'"),
             ("solve", {"solve": {"theta": -1}}, "'solve.theta'"),
@@ -97,7 +100,8 @@ class TestMalformedConfig:
             ("solve", {"search": {"n_swap": "x"}}, "'search.n_swap'"),
         ],
         ids=[
-            "link-key", "radio-number", "gen-list", "negative-count", "short-position", "search-list",
+            "link-key", "radio-number", "gen-list", "negative-count", "short-position", "gen-count-text",
+            "gen-count-fraction", "gen-width-negative", "search-list",
             "theta-text", "theta-negative", "delta-eps-text", "n-lagrangian-fraction", "max-iterations-text",
             "n-outer-fraction", "n-swap-text",
         ],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import backhaul_planner.lagrangian as lagrangian
+import backhaul_planner.tabu as tabu
 from backhaul_planner import (
     Deployment,
     GenParams,
@@ -33,9 +34,12 @@ from backhaul_planner.lagrangian import (
     delta_insert_before,
 )
 from backhaul_planner.model import ConnectionPlan, IntegrityError
+from backhaul_planner.pareto import SolveParams, solve
 from backhaul_planner.scenario import Machine, Site, derive_tables, preset_gen_params
+from backhaul_planner.tabu import SearchParams
 from util import (
     cached_tables,
+    mid_gen_params,
     random_deployment,
     random_multipliers,
     random_path_state,
@@ -417,6 +421,91 @@ class TestPathStateBookkeeping:
                 assert list(reversed(walked)) == chain.nodes[: chain.nodes.index(i)]
                 assert len(chain.nodes) == max(chain.nodes.index(u) + 1 for u in chain.nodes)
                 assert len(chain.nodes) <= scenario.max_relays + 1
+
+
+class TestChainPrefix:
+    @given(
+        seed=st.integers(0, 10**6),
+        n_sbs=st.integers(2, 6),
+        style=st.sampled_from(["zero", "small", "mixed"]),
+    )
+    def test_prefix_is_a_fresh_sum_after_every_move(self, seed, n_sbs, style):
+        """Every chain's multiplier prefix equals a left-to-right sum over its
+        nodes, float for float, after each random legal move."""
+        scenario, tables = tiny_instance(seed, n_sbs=n_sbs)
+        rng = random.Random(seed)
+        lam = random_multipliers(rng, scenario, style)
+        ws = Workspace(scenario, tables, theta=THETA)
+        dep = random_deployment(rng, scenario, 1.0)
+        state = PathState(ws, lam, _anchor_phase(ws, dep))
+        unattached = dep.open_sbss()
+        while unattached:
+            i = unattached.pop(rng.randrange(len(unattached)))
+            avail = state.uncovered_in_reach(i)
+            moves = [delta_attach_ban(state, i, k, avail) for k in dep.open_bans()]
+            for p in sorted(state.parent):
+                moves += [delta_insert_before(state, i, p, avail), delta_insert_after(state, i, p, avail)]
+            moves = [m for m in moves if m]
+            if not moves:
+                continue
+            apply_move(state, rng.choice(moves))
+            for chain in {id(c): c for c in state.chain_of.values()}.values():
+                fresh = [0.0]
+                for u in chain.nodes:
+                    fresh.append(fresh[-1] + lam[u])
+                assert chain.prefix == fresh
+
+
+class TestPlanMemo:
+    """``Workspace.build_plan`` hands out one shared result per key and
+    budget; nothing may change it, and no key is assigned twice per budget."""
+
+    @pytest.mark.parametrize("instance", ["tiny", "mid-pipeline"])
+    def test_shared_plans_stay_fresh(self, monkeypatch, instance):
+        if instance == "tiny":
+            scenario, tables = tiny_instance(2003)
+            search = SearchParams(n_outer=6, n_inner=8, n_div=1, tenure_ban=2, tenure_station=3)
+            params = SolveParams(n_lagrangian=3, search=search)
+        else:  # the mid-pipeline benchmark's settings, two budgets
+            scenario = generate_scenario(mid_gen_params(21), 21)
+            tables = cached_tables(scenario)
+            search = SearchParams(n_outer=1, n_inner=2, n_div=1, n_swap=20, tenure_ban=0, tenure_station=1)
+            params = SolveParams(delta_c=4.0, n_lagrangian=1, max_iterations=2, search=search)
+        real_assign, real_build, real_relaxed = lagrangian._assign, Workspace.build_plan, tabu.solve_relaxed
+        budget = None
+        assigned = set()
+        handed: dict = {}
+        n_handed = 0
+
+        def relaxed(ws, multipliers, eps, search, trace=None):
+            nonlocal budget
+            budget = eps
+            return real_relaxed(ws, multipliers, eps, search, trace)
+
+        def assign(ws, deployment, multipliers):
+            key = (budget, deployment.sites, multipliers)
+            assert key not in assigned
+            assigned.add(key)
+            return real_assign(ws, deployment, multipliers)
+
+        def build_plan(ws, deployment, multipliers):
+            nonlocal n_handed
+            result = real_build(ws, deployment, multipliers)
+            handed[id(result)] = (ws, deployment, multipliers, result)
+            n_handed += 1
+            return result
+
+        monkeypatch.setattr(tabu, "solve_relaxed", relaxed)
+        monkeypatch.setattr(lagrangian, "_assign", assign)
+        monkeypatch.setattr(Workspace, "build_plan", build_plan)
+        solve(scenario, tables, params)
+        assert len(handed) < n_handed  # some plans were handed out more than once
+
+        for ws, deployment, multipliers, result in handed.values():
+            fresh = real_assign(ws, deployment, multipliers)
+            for name in ("ban_cover", "sbs_cover", "sbs_parent", "ma_parent", "machine_cover"):
+                assert getattr(result.plan, name) == getattr(fresh.plan, name)
+            assert result.value == fresh.value
 
 
 class TestSubgradient:
