@@ -140,8 +140,9 @@ def _tables_for(scenario, scenario_path: str):
     if sidecar.exists():
         try:
             return load_tables(sidecar, scenario)
-        except (ValueError, KeyError, TypeError) as exc:
-            print(f"warning: ignoring stale tables sidecar {sidecar} ({exc}); deriving the tables", file=sys.stderr)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"warning: ignoring stale or unreadable tables sidecar {sidecar} ({exc}); deriving the tables",
+                  file=sys.stderr)
     return derive_tables(scenario)
 
 
@@ -275,6 +276,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.budget is not None and not math.isfinite(args.budget):  # every comparison with NaN is false
+        raise CliError(f"--budget must be finite, got {args.budget}; leave it out to check without a budget")
     scenario = _read_scenario(args.scenario)
     tables = _tables_for(scenario, args.scenario)
     try:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional
 
 from .lagrangian import Multipliers, Workspace
@@ -62,8 +61,10 @@ class TabuState:
 
     expiry: dict[SiteKey, int] = field(default_factory=dict)
 
-    def is_tabu(self, move: SiteMove, clock: int) -> bool:
-        return any(self.expiry.get(site, -1) > clock for site in move.sites)
+    def test(self, clock: int) -> Callable[[SiteMove], bool]:
+        """One step's test: a move is tabu if a site of it expires after ``clock``."""
+        active = frozenset(site for site, end in self.expiry.items() if end > clock)
+        return lambda move: not active.isdisjoint(move.sites)
 
     def mark(self, move: SiteMove, clock: int, tenure: int) -> None:
         for site in move.sites:
@@ -177,26 +178,35 @@ def two_level_search(
     picks nothing diversifies (by ``frequency``), clears the station memory
     and shows the result to ``diversified``. The anchor clock is the outer
     index; an empty station neighbourhood ends the inner loop without
-    advancing the station clock.
+    advancing the station clock. Each ``(sites, level)`` neighbourhood is
+    built once per call (the budget, ``n_swap`` and ``ws`` are fixed) and
+    handed to every step at those sites, so ``choose`` must not mutate it.
     """
     anchors, stations = TabuState(), TabuState()
+    built: dict[tuple[frozenset, str], list[tuple[SiteMove, Deployment]]] = {}
+
+    def candidates_at(level: str) -> list[tuple[SiteMove, Deployment]]:
+        if (current.sites, level) not in built:
+            built[current.sites, level] = neighborhood(current, level, budget, ws, params.n_swap)
+        return built[current.sites, level]
+
     current = start
     station_clock = 0
     for outer in range(params.n_outer):
         visit(current, outer, -1)
-        candidates = neighborhood(current, "ban", budget, ws, params.n_swap)
+        candidates = candidates_at("ban")
         if candidates:
-            n = choose(outer, -1, candidates, partial(anchors.is_tabu, clock=outer))
+            n = choose(outer, -1, candidates, anchors.test(outer))
             if n is not None:
                 move, current = candidates[n]
                 anchors.mark(move, outer, params.tenure_ban)
 
         for inner in range(params.n_inner):
             visit(current, outer, inner)
-            candidates = neighborhood(current, "station", budget, ws, params.n_swap)
+            candidates = candidates_at("station")
             if not candidates:
                 break
-            n = choose(outer, inner, candidates, partial(stations.is_tabu, clock=station_clock))
+            n = choose(outer, inner, candidates, stations.test(station_clock))
             if n is None:
                 current = _diversify(current, ws, budget, frequency, params, rng)
                 stations.expiry.clear()

@@ -241,6 +241,21 @@ class TestSolve:
         outputs = [json.loads((out / "manifest.json").read_text())["outputs"] for out in (fresh, stale)]
         assert outputs[0] == outputs[1]
 
+    def test_unreadable_sidecar_is_reported_and_derived_again(self, workdir, capsys):
+        scen = tiny_scenario_file(Path("scen.json"))
+        fresh = self.run_solve(scen, out="fresh")
+        sidecar = Path("scen.json.tables.json")
+        sidecar.mkdir()  # reading it raises IsADirectoryError
+        capsys.readouterr()
+        unreadable = self.run_solve(scen, out="unreadable")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(sidecar) in err and "Traceback" not in err
+        outputs = [json.loads((out / "manifest.json").read_text())["outputs"] for out in (fresh, unreadable)]
+        assert outputs[0] == outputs[1]
+        solution = next(r["solution_file"] for r in csv.DictReader((fresh / "front.csv").open()) if r["solution_file"])
+        assert main(["check", str(scen), str(fresh / solution)]) == 0
+        assert str(sidecar) in capsys.readouterr().err
+
     def test_theta_zero_makes_fc_equal_f2(self, workdir):
         scen = tiny_scenario_file(Path("scen.json"), seed=90, n_ma=2, n_machines=8)
         out = self.run_solve(scen, extra=("--theta", "0"))
@@ -307,6 +322,15 @@ class TestCheck:
         sol = Path("out") / row["solution_file"]
         assert main(["check", str(scen), str(sol), "--budget", "0.5"]) == 1
         assert "budget" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+    def test_non_finite_budget_exits_2_naming_it(self, workdir, capsys, budget):
+        scen, _ = self.solved(workdir)
+        solution = next(r["solution_file"] for r in csv.DictReader(Path("out/front.csv").open()) if r["solution_file"])
+        capsys.readouterr()
+        assert main(["check", str(scen), str(Path("out") / solution), f"--budget={budget}"]) == 2
+        err = capsys.readouterr().err
+        assert "--budget" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "path, value, field",

@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from backhaul_planner import (
     Deployment,
@@ -15,7 +16,9 @@ from backhaul_planner import (
     solve_relaxed,
     zero_multipliers,
 )
+from backhaul_planner import tabu
 from backhaul_planner.lagrangian import Workspace
+from backhaul_planner.tabu import SiteMove, TabuState, two_level_search
 from util import random_multipliers, tiny_instance
 
 THETA = 0.5
@@ -258,3 +261,58 @@ class TestSolveRelaxed:
         rows = list(csv.DictReader(path.open()))
         assert len(rows) == len(trace)
         assert list(rows[0]) == TRACE_FIELDS
+
+
+SITE_KEYS = st.tuples(st.sampled_from(["ban", "sbs", "ma"]), st.integers(0, 3))
+
+
+class TestTabuTest:
+    @given(
+        st.dictionaries(SITE_KEYS, st.integers(0, 12)),
+        st.integers(0, 12),
+        st.lists(SITE_KEYS, min_size=1, max_size=2, unique=True),
+    )
+    def test_agrees_with_the_expiry_rule(self, expiry, clock, sites):
+        move = SiteMove("open" if len(sites) == 1 else "swap", tuple(sites))
+        expected = any(site in expiry and expiry[site] > clock for site in sites)
+        assert TabuState(dict(expiry)).test(clock)(move) == expected
+
+
+class TestNeighbourhoodMemo:
+    # end sites of the search below, recorded when every step built its own
+    # neighbourhood
+    UNMEMOIZED_ENDS = {
+        2000: [("ban", 0), ("ma", 0)],
+        2001: [("ban", 0), ("ma", 0), ("sbs", 0)],
+        2002: [("ban", 0), ("ma", 0), ("sbs", 0)],
+        2003: [("ma", 0), ("ma", 1), ("sbs", 0), ("sbs", 1), ("sbs", 2)],
+        2004: [("ban", 2), ("ma", 0), ("ma", 1), ("sbs", 0)],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(UNMEMOIZED_ENDS))
+    def test_each_key_is_built_once_per_search(self, monkeypatch, seed):
+        scenario, tables = tiny_instance(seed)
+        ws = Workspace(scenario, tables, theta=THETA)
+        lam = zero_multipliers(scenario)
+        budget = scenario.total_cost() / 2
+        built, path, steps = [], [], []
+        original = tabu.neighborhood
+
+        def counting(deployment, level, *args):
+            built.append((deployment.sites, level))
+            return original(deployment, level, *args)
+
+        def choose(outer, inner, candidates, is_tabu):
+            level = "ban" if inner < 0 else "station"
+            steps.append((path[-1].sites, level))
+            assert candidates == original(path[-1], level, budget, ws)  # what an unmemoized step builds
+            allowed = [(ws.evaluate(dep, lam), n) for n, (move, dep) in enumerate(candidates) if not is_tabu(move)]
+            return min(allowed)[1] if allowed else None
+
+        monkeypatch.setattr(tabu, "neighborhood", counting)
+        start = initial_deployment(ws, budget)
+        end = two_level_search(start, budget, ws, SearchParams(seed=4), random.Random(4), {}, choose,
+                               lambda dep, *_: path.append(dep))
+        assert len(built) == len(set(built))
+        assert set(steps) <= set(built) and len(steps) > len(built)
+        assert sorted(end.sites) == self.UNMEMOIZED_ENDS[seed]
