@@ -140,9 +140,9 @@ def _tables_for(scenario, scenario_path: str):
     if sidecar.exists():
         try:
             return load_tables(sidecar, scenario)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"warning: ignoring stale or unreadable tables sidecar {sidecar} ({exc}); deriving the tables",
-                  file=sys.stderr)
+        except (OSError, ValueError) as exc:  # TablesFormatError is a ValueError
+            print(f"warning: ignoring stale, unreadable or malformed tables sidecar {sidecar} ({exc}); "
+                  "deriving the tables", file=sys.stderr)
     return derive_tables(scenario)
 
 

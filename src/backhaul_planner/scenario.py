@@ -17,8 +17,8 @@ import json
 import math
 import numbers
 import random
-from dataclasses import asdict, dataclass
-from functools import cached_property
+from dataclasses import asdict, dataclass, fields
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -267,6 +267,10 @@ class Scenario:
             ((ix + 0.5) * side, (iy + 0.5) * side) for iy in range(ny) for ix in range(nx)
         )
 
+    @cached_property
+    def _content_hash(self) -> str:  # the value of scenario_hash, once per object
+        return hashlib.sha256(canonical_json(scenario_to_dict(self)).encode()).hexdigest()
+
     @property
     def n_machines(self) -> int:
         return len(self.machines)
@@ -311,29 +315,35 @@ def los_probability(radio: RadioConfig, distance_m: float) -> float:
     return math.exp(-radio.blockage_per_m * distance_m)
 
 
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def _tail_below(threshold_db: float, mean_db: float, sigma_db: float) -> float:
-    """P(shadowed SNR <= threshold) for one LOS state."""
+    """P(shadowed SNR <= threshold) for one LOS state: a normal CDF."""
     if sigma_db <= 0:
         if mean_db > threshold_db:
             return 0.0
         if mean_db < threshold_db:
             return 1.0
         return 0.5
-    return _normal_cdf((threshold_db - mean_db) / sigma_db)
+    return 0.5 * (1.0 + math.erf((threshold_db - mean_db) / sigma_db / math.sqrt(2.0)))
+
+
+def _snr_states(radio: RadioConfig, distance_m: float, link: LinkSpec) -> tuple[float, float, float]:
+    """LOS probability and the mean LOS and NLOS SNRs (dB) at a distance."""
+    p_los = los_probability(radio, distance_m)
+    mean_los = link.tx_dbm - pathloss_db(radio, distance_m, link, los=True) - radio.noise_dbm
+    mean_nlos = link.tx_dbm - pathloss_db(radio, distance_m, link, los=False) - radio.noise_dbm
+    return p_los, mean_los, mean_nlos
+
+
+def _blend_below(p_los: float, mean_los: float, mean_nlos: float, link: LinkSpec, threshold_db: float) -> float:
+    """P(SNR <= threshold) of the LOS/NLOS mixture given its ``_snr_states``."""
+    return p_los * _tail_below(threshold_db, mean_los, link.los_shadowing_db) + (1.0 - p_los) * _tail_below(
+        threshold_db, mean_nlos, link.nlos_shadowing_db
+    )
 
 
 def snr_below_probability(radio: RadioConfig, distance_m: float, link: LinkSpec, threshold_db: float) -> float:
     """P(SNR <= threshold), blending LOS and NLOS states analytically."""
-    p_los = los_probability(radio, distance_m)
-    mean_los = link.tx_dbm - pathloss_db(radio, distance_m, link, los=True) - radio.noise_dbm
-    mean_nlos = link.tx_dbm - pathloss_db(radio, distance_m, link, los=False) - radio.noise_dbm
-    return p_los * _tail_below(threshold_db, mean_los, link.los_shadowing_db) + (1.0 - p_los) * _tail_below(
-        threshold_db, mean_nlos, link.nlos_shadowing_db
-    )
+    return _blend_below(*_snr_states(radio, distance_m, link), link, threshold_db)
 
 
 def outage_probability(radio: RadioConfig, distance_m: float, link: LinkSpec) -> float:
@@ -364,12 +374,20 @@ def coverage_radius(radio: RadioConfig, link: LinkSpec, max_outage: float, cap_m
 
 def effective_snr_db(radio: RadioConfig, distance_m: float, link: LinkSpec, reliability_outage: float) -> float:
     """SNR exceeded with probability 1 - reliability_outage (the quantile of
-    the LOS/NLOS shadowed SNR mixture)."""
+    the LOS/NLOS shadowed SNR mixture), by a 64-step bisection with the
+    distance terms computed once.
+
+    The result never exceeds the upper end of the bracket, so once that end
+    falls below ``MIN_USABLE_SNR_DB`` the bisection stops: a dead link gets
+    some value below that floor, not its exact quantile."""
+    states = _snr_states(radio, distance_m, link)
     lo, hi = -300.0, 300.0
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        if snr_below_probability(radio, distance_m, link, mid) < reliability_outage:
+        if _blend_below(*states, link, mid) < reliability_outage:
             lo = mid
+        elif mid < MIN_USABLE_SNR_DB:
+            return mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -469,68 +487,57 @@ def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
+def _distances(pos: tuple[float, float], points: Sequence[tuple[float, float]]) -> tuple[float, ...]:
+    px, py = pos
+    return tuple(math.hypot(px - x, py - y) for x, y in points)
+
+
+def _within(row: tuple[float, ...], radius: float) -> tuple[int, ...]:
+    """Indices of ``row`` at most ``radius``, nearest first (ties by index)."""
+    return tuple(sorted((n for n, d in enumerate(row) if d <= radius), key=row.__getitem__))
+
+
 def derive_tables(scenario: Scenario) -> DerivedTables:
     radio = scenario.radio
     centers = scenario.subarea_centers
     cap = scenario.diagonal
-    s_count = scenario.n_subareas
 
     ban_radius = coverage_radius(radio, access_link(radio, "ban"), radio.access_outage, cap)
     sbs_radius = coverage_radius(radio, access_link(radio, "sbs"), radio.access_outage, cap)
 
-    def reach_sorted(pos: tuple[float, float], radius: float) -> tuple[int, ...]:
-        hits = [(d, s) for s, c in enumerate(centers) if (d := _distance(pos, c)) <= radius]
-        hits.sort()
-        return tuple(s for _, s in hits)
-
     ban_pos = [(s.x, s.y) for s in scenario.ban_sites]
     sbs_pos = [(s.x, s.y) for s in scenario.sbs_sites]
     ma_pos = [(s.x, s.y) for s in scenario.ma_sites]
+    machine_pos = [(m.x, m.y) for m in scenario.machines]
 
-    ban_reach = tuple(reach_sorted(p, ban_radius) for p in ban_pos)
-    sbs_reach = tuple(reach_sorted(p, sbs_radius) for p in sbs_pos)
-
-    def machine_reach(pos: tuple[float, float]) -> tuple[int, ...]:
-        hits = [
-            (d, m)
-            for m, mach in enumerate(scenario.machines)
-            if (d := _distance(pos, (mach.x, mach.y))) <= radio.ma_range_m
-        ]
-        hits.sort()
-        return tuple(m for _, m in hits)
-
-    ma_reach = tuple(machine_reach(p) for p in ma_pos)
+    ban_subarea_m = tuple(_distances(p, centers) for p in ban_pos)
+    sbs_subarea_m = tuple(_distances(p, centers) for p in sbs_pos)
+    ban_reach = tuple(_within(row, ban_radius) for row in ban_subarea_m)
+    sbs_reach = tuple(_within(row, sbs_radius) for row in sbs_subarea_m)
+    ma_reach = tuple(_within(_distances(p, machine_pos), radio.ma_range_m) for p in ma_pos)
 
     ban_bh = backhaul_link(radio, "ban")
     sbs_bh = backhaul_link(radio, "sbs")
 
-    def cap_row(src: tuple[float, float], dsts: Sequence[tuple[float, float]], link: LinkSpec, skip=None):
-        row = []
-        for n, d in enumerate(dsts):
-            if skip is not None and n == skip:
-                row.append(0.0)
-                continue
-            dist = _distance(src, d)
-            row.append(backhaul_capacity_bps(radio, max(dist, 1e-6), link))
-        return tuple(row)
+    def capacity(src: tuple[float, float], dst: tuple[float, float], link: LinkSpec) -> float:
+        return backhaul_capacity_bps(radio, max(_distance(src, dst), 1e-6), link)
 
-    ban_sbs_capacity = tuple(cap_row(p, sbs_pos, ban_bh) for p in ban_pos)
-    sbs_sbs_capacity = tuple(cap_row(p, sbs_pos, sbs_bh, skip=n) for n, p in enumerate(sbs_pos))
-    ban_ma_capacity = tuple(cap_row(p, ma_pos, ban_bh) for p in ban_pos)
+    ban_sbs_capacity = tuple(tuple(capacity(p, q, ban_bh) for q in sbs_pos) for p in ban_pos)
+    ban_ma_capacity = tuple(tuple(capacity(p, q, ban_bh) for q in ma_pos) for p in ban_pos)
+    # a station pair's capacity depends only on its distance: one per pair
+    n_sbs = len(sbs_pos)
+    sbs_rows = [[0.0] * n_sbs for _ in sbs_pos]
+    for i, p in enumerate(sbs_pos):
+        for j in range(i + 1, n_sbs):
+            sbs_rows[i][j] = sbs_rows[j][i] = capacity(p, sbs_pos[j], sbs_bh)
+    sbs_sbs_capacity = tuple(map(tuple, sbs_rows))
 
-    area = scenario.subarea_area_m2
-
-    def limit_row(caps: tuple[float, ...]) -> tuple[int, ...]:
-        return tuple(subarea_capacity_limit(radio, c, area, s_count) for c in caps)
-
-    ban_sbs_limit = tuple(limit_row(r) for r in ban_sbs_capacity)
+    # one limit per distinct capacity
+    limit = cache(lambda c: subarea_capacity_limit(radio, c, scenario.subarea_area_m2, scenario.n_subareas))
+    ban_sbs_limit = tuple(tuple(map(limit, row)) for row in ban_sbs_capacity)
     sbs_sbs_limit = tuple(
-        tuple(0 if p == i else v for i, v in enumerate(limit_row(row)))
-        for p, row in enumerate(sbs_sbs_capacity)
+        tuple(0 if p == i else limit(c) for i, c in enumerate(row)) for p, row in enumerate(sbs_sbs_capacity)
     )
-
-    ban_subarea_m = tuple(tuple(_distance(p, c) for c in centers) for p in ban_pos)
-    sbs_subarea_m = tuple(tuple(_distance(p, c) for c in centers) for p in sbs_pos)
 
     return DerivedTables(
         ban_radius_m=ban_radius,
@@ -738,7 +745,8 @@ def canonical_json(data) -> str:
 
 
 def scenario_hash(scenario: Scenario) -> str:
-    return hashlib.sha256(canonical_json(scenario_to_dict(scenario)).encode()).hexdigest()
+    """sha256 of the scenario's canonical JSON; computed once per object."""
+    return scenario._content_hash
 
 
 def save_scenario(scenario: Scenario, path) -> None:
@@ -753,27 +761,84 @@ def load_scenario(path) -> Scenario:
 
 
 def tables_to_dict(scenario: Scenario, tables: DerivedTables) -> dict:
-    d = asdict(tables)
+    """The sidecar's JSON object; the rows stay the tables' own tuples."""
+    d = {f.name: getattr(tables, f.name) for f in fields(tables)}
     d["scenario_hash"] = scenario_hash(scenario)
     d["version"] = SCENARIO_FORMAT_VERSION
     return d
 
 
+class TablesFormatError(ValueError):
+    """A tables sidecar that does not fit its scenario; the message names the field."""
+
+    def __init__(self, fieldname: str, message: str):
+        super().__init__(f"tables field '{fieldname}': {message}")
+
+
+def _rows(data: dict, name: str, n_rows: int, n_cols: Optional[int], kind: type, below=None) -> tuple:
+    """``data[name]`` as a tuple of ``n_rows`` tuples (of ``n_cols`` each
+    when given) of non-negative ``kind`` values (ints, or finite numbers
+    for float), each below ``below`` when given."""
+    rows = data[name]
+    if not isinstance(rows, (list, tuple)) or len(rows) != n_rows:
+        raise TablesFormatError(name, f"expected {n_rows} rows")
+    types = {int} if kind is int else {int, float}
+    for n, row in enumerate(rows):
+        where = f"{name}[{n}]"
+        if not isinstance(row, (list, tuple)) or (n_cols is not None and len(row) != n_cols):
+            raise TablesFormatError(where, "expected a list" + ("" if n_cols is None else f" of {n_cols} values"))
+        if not set(map(type, row)) <= types:
+            raise TablesFormatError(where, f"expected {'integers' if kind is int else 'numbers'}")
+        if row and (min(row) < 0 or (kind is float and not math.isfinite(sum(row)))
+                    or (below is not None and max(row) >= below)):
+            span = "finite and non-negative" if below is None else f"in [0, {below})"
+            raise TablesFormatError(where, f"values must be {span}")
+    return tuple(map(tuple, rows))
+
+
 def tables_from_dict(data: dict, scenario: Scenario) -> DerivedTables:
+    """The tables a sidecar object holds. ValueError when it was derived from
+    another scenario; TablesFormatError, naming the field, when its version
+    or field set is wrong or a row does not fit the scenario's site,
+    subarea and machine counts."""
+    if not isinstance(data, dict):
+        raise ValueError("a tables sidecar holds one JSON object")
     if data.get("scenario_hash") != scenario_hash(scenario):
         raise ValueError("cached tables do not match the scenario content hash")
-    kwargs = {k: v for k, v in data.items() if k not in ("scenario_hash", "version")}
-
-    def deep(v):
-        return tuple(deep(x) for x in v) if isinstance(v, list) else v
-
-    return DerivedTables(**{k: deep(v) for k, v in kwargs.items()})
+    version = data.get("version")
+    if isinstance(version, bool) or version != SCENARIO_FORMAT_VERSION:
+        raise TablesFormatError("version", f"unsupported version {version!r}")
+    names = {f.name for f in fields(DerivedTables)}
+    odd = sorted(names ^ (data.keys() - {"scenario_hash", "version"}))
+    if odd:
+        raise TablesFormatError(odd[0], "missing" if odd[0] in names else "unknown")
+    for name in ("ban_radius_m", "sbs_radius_m", "ma_range_m"):
+        _check_number(name, data[name], minimum=0, error=TablesFormatError)
+    _check_number("machine_limit", data["machine_limit"], integer=True, minimum=0, error=TablesFormatError)
+    n_ban, n_sbs, n_ma = len(scenario.ban_sites), len(scenario.sbs_sites), len(scenario.ma_sites)
+    subareas, machines = scenario.n_subareas, scenario.n_machines
+    return DerivedTables(
+        ban_radius_m=data["ban_radius_m"],
+        sbs_radius_m=data["sbs_radius_m"],
+        ma_range_m=data["ma_range_m"],
+        ban_reach=_rows(data, "ban_reach", n_ban, None, int, below=subareas),
+        sbs_reach=_rows(data, "sbs_reach", n_sbs, None, int, below=subareas),
+        ma_reach=_rows(data, "ma_reach", n_ma, None, int, below=machines),
+        ban_sbs_capacity=_rows(data, "ban_sbs_capacity", n_ban, n_sbs, float),
+        sbs_sbs_capacity=_rows(data, "sbs_sbs_capacity", n_sbs, n_sbs, float),
+        ban_ma_capacity=_rows(data, "ban_ma_capacity", n_ban, n_ma, float),
+        ban_sbs_limit=_rows(data, "ban_sbs_limit", n_ban, n_sbs, int),
+        sbs_sbs_limit=_rows(data, "sbs_sbs_limit", n_sbs, n_sbs, int),
+        machine_limit=data["machine_limit"],
+        ban_subarea_m=_rows(data, "ban_subarea_m", n_ban, subareas, float),
+        sbs_subarea_m=_rows(data, "sbs_subarea_m", n_sbs, subareas, float),
+    )
 
 
 def save_tables(scenario: Scenario, tables: DerivedTables, path) -> None:
+    # json.dumps runs the C encoder; json.dump never does
     with open(path, "w") as fh:
-        json.dump(tables_to_dict(scenario, tables), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(tables_to_dict(scenario, tables), sort_keys=True) + "\n")
 
 
 def load_tables(path, scenario: Scenario) -> DerivedTables:

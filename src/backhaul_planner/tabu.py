@@ -260,7 +260,7 @@ def solve_relaxed(
         nonlocal incumbent, incumbent_value, diversifying
         evals = [(ws.evaluate(dep, multipliers), n) for n, (_, dep) in enumerate(candidates)]
         best_value, best_n = min(evals)
-        tabu_hits = sum(1 for move, _ in candidates if is_tabu(move))
+        tabu_hits = None if trace is None else sum(1 for move, _ in candidates if is_tabu(move))  # for the trace only
         if best_value < incumbent_value:  # aspiration: strict improvement overrides tabu
             incumbent, incumbent_value = candidates[best_n][1], best_value
             chosen = best_n

@@ -288,6 +288,48 @@ class TestSolve:
             assert eps[0] - eps[1] >= 2.0  # delta_c respected
 
 
+# A sidecar whose scenario hash matches but whose content does not fit the
+# golden scenario (2/2/1 sites, 25 subareas, 5 machines): (field named in
+# the warning, corruption)
+SIDECAR_FAULTS = {
+    "short-limit-row": ("ban_sbs_limit[0]", lambda d: d["ban_sbs_limit"][0].pop()),
+    "reach-out-of-range": ("sbs_reach[0]", lambda d: d["sbs_reach"][0].append(999)),
+    "text-limit": ("sbs_sbs_limit[0]", lambda d: d["sbs_sbs_limit"][0].__setitem__(1, "x")),
+    "text-radius": ("sbs_radius_m", lambda d: d.update(sbs_radius_m="20.0")),
+    "null-machine-limit": ("machine_limit", lambda d: d.update(machine_limit=None)),
+    "fractional-limit": ("ban_sbs_limit[0]", lambda d: d["ban_sbs_limit"][0].__setitem__(0, 2.5)),
+    "version": ("version", lambda d: d.update(version=2)),
+    "missing-field": ("ma_reach", lambda d: d.pop("ma_reach")),
+}
+
+
+class TestMalformedSidecar:
+    @pytest.mark.parametrize("field, corrupt", SIDECAR_FAULTS.values(), ids=SIDECAR_FAULTS.keys())
+    def test_reported_and_derived_again(self, workdir, capsys, field, corrupt):
+        scen = Path("scen.json")
+        scen.write_bytes(GOLDEN_SCENARIO.read_bytes())
+        cfg = write_config(Path("cfg.json"))
+
+        def run(out):
+            assert main(["solve", str(scen), "--config", cfg, "--out", out, "--seed", "1"]) == 0
+            solutions = sorted(Path(out, "solutions").iterdir())
+            return json.loads(Path(out, "manifest.json").read_text())["outputs"], [
+                main(["check", str(scen), str(path)]) for path in solutions
+            ]
+
+        fresh = run("fresh")
+        assert main(["derive", str(scen)]) == 0
+        sidecar = Path("scen.json.tables.json")
+        data = json.loads(sidecar.read_text())
+        corrupt(data)
+        sidecar.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run("again") == fresh
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 1 + len(fresh[1])  # solve, then each check
+        assert all(str(sidecar) in w and f"'{field}'" in w for w in warnings)
+
+
 class TestCheck:
     def solved(self, workdir):
         scen = tiny_scenario_file(Path("scen.json"), seed=91, n_ban=2, n_sbs=3)

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from backhaul_planner import LinkClassParams, RadioConfig
 from backhaul_planner.scenario import (
+    MIN_USABLE_SNR_DB,
     access_link,
     backhaul_capacity_bps,
     backhaul_link,
@@ -21,7 +22,7 @@ from backhaul_planner.scenario import (
     poisson_demand_exceeds,
     subarea_capacity_limit,
 )
-from util import closed_form_radius, poisson_tail_oracle
+from util import closed_form_radius, poisson_tail_oracle, reference_effective_snr_db
 
 DEFAULT = RadioConfig()
 ACCESS = access_link(DEFAULT, "sbs")
@@ -155,6 +156,25 @@ class TestBackhaulCapacity:
 
     def test_dead_link_is_exactly_zero(self):
         assert backhaul_capacity_bps(DEFAULT, 5000.0, backhaul_link(DEFAULT, "ban")) == 0.0
+
+    @given(
+        distance=st.floats(1e-6, 2000.0),
+        role=st.sampled_from(["ban", "sbs"]),
+        tx=st.sampled_from([10.0, 30.0, 40.0]),
+        beta=st.sampled_from([0.0, 0.046, 0.3]),
+        shadowing=st.sampled_from([0.0, 4.2]),
+    )
+    def test_effective_snr_and_capacity_equal_per_step_bisection(self, distance, role, tx, beta, shadowing):
+        link = LinkClassParams(2.0, 3.5, shadowing, 7.9, 1e9)
+        radio = RadioConfig(backhaul=link, blockage_per_m=beta, ban_tx_dbm=tx, sbs_tx_dbm=tx + 3.0)
+        bh = backhaul_link(radio, role)
+        snr = reference_effective_snr_db(radio, distance, bh, radio.backhaul_outage)
+        if snr >= MIN_USABLE_SNR_DB:
+            assert effective_snr_db(radio, distance, bh, radio.backhaul_outage) == snr
+        else:  # the bisection stops early on a dead link
+            assert effective_snr_db(radio, distance, bh, radio.backhaul_outage) < MIN_USABLE_SNR_DB
+        expected = 0.0 if snr < MIN_USABLE_SNR_DB else bh.bandwidth_hz * math.log2(1.0 + 10.0 ** (snr / 10.0))
+        assert backhaul_capacity_bps(radio, distance, bh) == expected
 
 
 class TestSubareaLimit:

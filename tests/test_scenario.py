@@ -1,7 +1,9 @@
 """Scenario generation, table derivation, and serialization."""
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,7 @@ from backhaul_planner.scenario import (
     tables_from_dict,
     tables_to_dict,
 )
-from util import TINY_RADIO, tiny_instance
+from util import TINY_RADIO, mid_gen_params, tiny_instance
 
 
 class TestGeneration:
@@ -146,6 +148,31 @@ class TestDerivedTables:
         for i, row in enumerate(tables.sbs_sbs_limit):
             assert row[i] == 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_station_links_symmetric(self, seed):
+        tables = derive_tables(generate_scenario(mid_gen_params(seed), seed))
+        for name in ("sbs_sbs_capacity", "sbs_sbs_limit"):
+            rows = getattr(tables, name)
+            assert rows == tuple(zip(*rows)), name
+        assert any(c > 0 for row in tables.sbs_sbs_capacity for c in row)
+
+    # sha256 of the sidecar bytes that derive and save_tables write; every
+    # rewrite of either must keep them
+    PINNED_SIDECARS = {
+        "golden": "53ba734a5b430c383acada396650326f1a467a2128bf676616c34aa2a5f2c891",
+        "paper-fig2-seed-0": "42a2524fc9a31fafafe3ce92bc7bfcc92d21595441c35259503f2fc795aa0e77",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_SIDECARS))
+    def test_sidecar_bytes_pinned(self, tmp_path, name):
+        if name == "golden":
+            scenario = load_scenario(Path(__file__).parent / "data" / "golden_scenario.json")
+        else:
+            scenario = generate_scenario(preset_gen_params("paper-fig2"), 0)
+        path = tmp_path / "tables.json"
+        save_tables(scenario, derive_tables(scenario), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SIDECARS[name]
+
 
 class TestSerialization:
     def test_scenario_round_trip(self, tmp_path):
@@ -181,6 +208,7 @@ class TestSerialization:
         path = tmp_path / "tables.json"
         save_tables(scenario, tables, path)
         assert load_tables(path, scenario) == tables
+        assert tables_from_dict(tables_to_dict(scenario, tables), scenario) == tables
 
     def test_tables_cache_rejects_other_scenario(self, tmp_path):
         scenario, tables = tiny_instance(26)

@@ -14,6 +14,7 @@ from backhaul_planner import (
     derive_tables,
     generate_scenario,
 )
+from backhaul_planner.scenario import snr_below_probability
 
 # Wide-band, higher-power radio for small test areas: coverage radii around
 # 20 m and live backhaul links across a 50 m box.
@@ -103,6 +104,19 @@ def closed_form_radius(tx_dbm: float, noise_dbm: float, snr_db: float, exponent:
     """Range where the deterministic SNR crosses the threshold (no shadowing,
     no blockage)."""
     return 10 ** ((tx_dbm - noise_dbm - snr_db - fspl_db) / (10.0 * exponent))
+
+
+def reference_effective_snr_db(radio: RadioConfig, distance_m: float, link, reliability_outage: float) -> float:
+    """The SNR quantile by the plain 64-step bisection, calling
+    ``snr_below_probability`` (distance terms included) at every step."""
+    lo, hi = -300.0, 300.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if snr_below_probability(radio, distance_m, link, mid) < reliability_outage:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def poisson_tail_oracle(mean: float, allowed: int) -> float:
