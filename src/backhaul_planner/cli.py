@@ -27,7 +27,6 @@ from .scenario import (
     derive_tables,
     generate_scenario,
     load_scenario,
-    load_tables,
     preset_gen_params,
     radio_from_dict,
     resolve_theta,
@@ -73,8 +72,8 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read config: {exc}")
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CliError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise CliError("config must be a JSON object")
     return data
@@ -127,23 +126,12 @@ def _solve_params(args, config: dict) -> pareto.SolveParams:
 def _read_scenario(path: str):
     try:
         return load_scenario(path)
-    except FileNotFoundError:
-        raise CliError(f"scenario file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read scenario {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise CliError(f"scenario is not valid JSON: {exc}")
+        raise CliError(f"scenario {path} is not valid JSON: {exc}")
     except ScenarioFormatError as exc:
         raise CliError(str(exc))
-
-
-def _tables_for(scenario, scenario_path: str):
-    sidecar = Path(str(scenario_path) + ".tables.json")
-    if sidecar.exists():
-        try:
-            return load_tables(sidecar, scenario)
-        except (OSError, ValueError) as exc:  # TablesFormatError is a ValueError
-            print(f"warning: ignoring stale, unreadable or malformed tables sidecar {sidecar} ({exc}); "
-                  "deriving the tables", file=sys.stderr)
-    return derive_tables(scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +214,7 @@ def _sweep_inputs(args, default_out: str):
     """Settings, scenario, tables and output directory of solve and oracle."""
     params = _solve_params(args, _load_config(args.config))
     scenario = _read_scenario(args.scenario)
-    tables = _tables_for(scenario, args.scenario)
+    tables = derive_tables(scenario)
     out_dir = Path(args.out or default_out)
     out_dir.mkdir(parents=True, exist_ok=True)
     return params, scenario, tables, out_dir
@@ -279,14 +267,14 @@ def cmd_check(args) -> int:
     if args.budget is not None and not math.isfinite(args.budget):  # every comparison with NaN is false
         raise CliError(f"--budget must be finite, got {args.budget}; leave it out to check without a budget")
     scenario = _read_scenario(args.scenario)
-    tables = _tables_for(scenario, args.scenario)
+    tables = derive_tables(scenario)
     try:
         data = json.loads(Path(args.solution).read_text())
         solution = solution_from_dict(data, scenario)
-    except FileNotFoundError:
-        raise CliError(f"solution file not found: {args.solution}")
+    except OSError as exc:
+        raise CliError(f"cannot read solution file {args.solution}: {exc}")
     except ValueError as exc:  # JSON syntax, text encoding or SolutionFormatError
-        raise CliError(f"bad solution file: {exc}")
+        raise CliError(f"bad solution file {args.solution}: {exc}")
     violations = check_feasibility(solution, scenario, tables, budget=args.budget)
     if not violations:
         print("feasible: no violations")
@@ -434,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None, choices=["paper-fig2"])
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("derive", help="precompute tables for a scenario")
+    p = sub.add_parser("derive", help="write a scenario's tables to a sidecar for inspection; no command reads it")
     common(p)
     p.set_defaults(func=cmd_derive)
 

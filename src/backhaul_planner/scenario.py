@@ -760,87 +760,30 @@ def load_scenario(path) -> Scenario:
         return scenario_from_dict(json.load(fh))
 
 
-def tables_to_dict(scenario: Scenario, tables: DerivedTables) -> dict:
-    """The sidecar's JSON object; the rows stay the tables' own tuples."""
+def _tables_text(scenario: Scenario, tables: DerivedTables) -> str:
+    """The sidecar text of ``tables``: one JSON object of every table plus the
+    scenario hash and the format version."""
     d = {f.name: getattr(tables, f.name) for f in fields(tables)}
     d["scenario_hash"] = scenario_hash(scenario)
     d["version"] = SCENARIO_FORMAT_VERSION
-    return d
-
-
-class TablesFormatError(ValueError):
-    """A tables sidecar that does not fit its scenario; the message names the field."""
-
-    def __init__(self, fieldname: str, message: str):
-        super().__init__(f"tables field '{fieldname}': {message}")
-
-
-def _rows(data: dict, name: str, n_rows: int, n_cols: Optional[int], kind: type, below=None) -> tuple:
-    """``data[name]`` as a tuple of ``n_rows`` tuples (of ``n_cols`` each
-    when given) of non-negative ``kind`` values (ints, or finite numbers
-    for float), each below ``below`` when given."""
-    rows = data[name]
-    if not isinstance(rows, (list, tuple)) or len(rows) != n_rows:
-        raise TablesFormatError(name, f"expected {n_rows} rows")
-    types = {int} if kind is int else {int, float}
-    for n, row in enumerate(rows):
-        where = f"{name}[{n}]"
-        if not isinstance(row, (list, tuple)) or (n_cols is not None and len(row) != n_cols):
-            raise TablesFormatError(where, "expected a list" + ("" if n_cols is None else f" of {n_cols} values"))
-        if not set(map(type, row)) <= types:
-            raise TablesFormatError(where, f"expected {'integers' if kind is int else 'numbers'}")
-        if row and (min(row) < 0 or (kind is float and not math.isfinite(sum(row)))
-                    or (below is not None and max(row) >= below)):
-            span = "finite and non-negative" if below is None else f"in [0, {below})"
-            raise TablesFormatError(where, f"values must be {span}")
-    return tuple(map(tuple, rows))
-
-
-def tables_from_dict(data: dict, scenario: Scenario) -> DerivedTables:
-    """The tables a sidecar object holds. ValueError when it was derived from
-    another scenario; TablesFormatError, naming the field, when its version
-    or field set is wrong or a row does not fit the scenario's site,
-    subarea and machine counts."""
-    if not isinstance(data, dict):
-        raise ValueError("a tables sidecar holds one JSON object")
-    if data.get("scenario_hash") != scenario_hash(scenario):
-        raise ValueError("cached tables do not match the scenario content hash")
-    version = data.get("version")
-    if isinstance(version, bool) or version != SCENARIO_FORMAT_VERSION:
-        raise TablesFormatError("version", f"unsupported version {version!r}")
-    names = {f.name for f in fields(DerivedTables)}
-    odd = sorted(names ^ (data.keys() - {"scenario_hash", "version"}))
-    if odd:
-        raise TablesFormatError(odd[0], "missing" if odd[0] in names else "unknown")
-    for name in ("ban_radius_m", "sbs_radius_m", "ma_range_m"):
-        _check_number(name, data[name], minimum=0, error=TablesFormatError)
-    _check_number("machine_limit", data["machine_limit"], integer=True, minimum=0, error=TablesFormatError)
-    n_ban, n_sbs, n_ma = len(scenario.ban_sites), len(scenario.sbs_sites), len(scenario.ma_sites)
-    subareas, machines = scenario.n_subareas, scenario.n_machines
-    return DerivedTables(
-        ban_radius_m=data["ban_radius_m"],
-        sbs_radius_m=data["sbs_radius_m"],
-        ma_range_m=data["ma_range_m"],
-        ban_reach=_rows(data, "ban_reach", n_ban, None, int, below=subareas),
-        sbs_reach=_rows(data, "sbs_reach", n_sbs, None, int, below=subareas),
-        ma_reach=_rows(data, "ma_reach", n_ma, None, int, below=machines),
-        ban_sbs_capacity=_rows(data, "ban_sbs_capacity", n_ban, n_sbs, float),
-        sbs_sbs_capacity=_rows(data, "sbs_sbs_capacity", n_sbs, n_sbs, float),
-        ban_ma_capacity=_rows(data, "ban_ma_capacity", n_ban, n_ma, float),
-        ban_sbs_limit=_rows(data, "ban_sbs_limit", n_ban, n_sbs, int),
-        sbs_sbs_limit=_rows(data, "sbs_sbs_limit", n_sbs, n_sbs, int),
-        machine_limit=data["machine_limit"],
-        ban_subarea_m=_rows(data, "ban_subarea_m", n_ban, subareas, float),
-        sbs_subarea_m=_rows(data, "sbs_subarea_m", n_sbs, subareas, float),
-    )
+    return json.dumps(d, sort_keys=True) + "\n"  # json.dumps runs the C encoder; json.dump never does
 
 
 def save_tables(scenario: Scenario, tables: DerivedTables, path) -> None:
-    # json.dumps runs the C encoder; json.dump never does
     with open(path, "w") as fh:
-        fh.write(json.dumps(tables_to_dict(scenario, tables), sort_keys=True) + "\n")
+        fh.write(_tables_text(scenario, tables))
 
 
 def load_tables(path, scenario: Scenario) -> DerivedTables:
-    with open(path) as fh:
-        return tables_from_dict(json.load(fh), scenario)
+    """The tables of ``scenario``, derived again, once the file at ``path``
+    is checked to hold exactly the sidecar ``save_tables`` writes for them.
+    ValueError naming ``path`` when it does not or cannot be read."""
+    tables = derive_tables(scenario)
+    try:
+        with open(path, "rb") as fh:
+            same = fh.read() == _tables_text(scenario, tables).encode()
+    except OSError as exc:
+        raise ValueError(f"cannot read tables sidecar {path}: {exc}") from exc
+    if not same:
+        raise ValueError(f"{path} is not the tables sidecar of this scenario")
+    return tables

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 import backhaul_planner
 from backhaul_planner import pareto
 from backhaul_planner.cli import main
-from backhaul_planner.scenario import derive_tables, load_scenario, save_scenario
+from backhaul_planner.scenario import derive_tables, load_scenario, load_tables, save_scenario
 from backhaul_planner.tabu import SearchParams
 from util import tiny_instance
 
@@ -98,16 +98,21 @@ class TestMalformedConfig:
             ("solve", {"solve": {"max_iterations": "2"}}, "'solve.max_iterations'"),
             ("solve", {"search": {"n_outer": 2.5}}, "'search.n_outer'"),
             ("solve", {"search": {"n_swap": "x"}}, "'search.n_swap'"),
+            ("solve", b"\xff\xfe{", "cfg.json"),
         ],
         ids=[
             "link-key", "radio-number", "gen-list", "negative-count", "short-position", "gen-count-text",
             "gen-count-fraction", "gen-width-negative", "search-list",
             "theta-text", "theta-negative", "delta-eps-text", "n-lagrangian-fraction", "max-iterations-text",
-            "n-outer-fraction", "n-swap-text",
+            "n-outer-fraction", "n-swap-text", "non-utf8",
         ],
     )
     def test_exits_2_naming_it(self, workdir, capsys, command, config, field):
-        cfg = write_config(Path("cfg.json"), config)
+        if isinstance(config, bytes):
+            Path("cfg.json").write_bytes(config)
+            cfg = "cfg.json"
+        else:
+            cfg = write_config(Path("cfg.json"), config)
         if command == "gen":
             argv = ["gen", "--out", "z.json"]
         else:
@@ -193,6 +198,19 @@ class TestMalformedScenario:
                 assert rc == 2, (argv[0], path, bad)
                 assert path in err.getvalue() and "Traceback" not in err.getvalue()
 
+    @pytest.mark.parametrize("unreadable", ["directory", "non-utf8"])
+    @pytest.mark.parametrize("command", ["derive", "solve", "check", "oracle"])
+    def test_unreadable_file_exits_2_naming_it(self, workdir, capsys, command, unreadable):
+        scen = Path("scen")
+        if unreadable == "directory":
+            scen.mkdir()
+        else:
+            scen.write_bytes(b"\xff\xfe{")
+        argv = [command, str(scen)] + (["solution.json"] if command == "check" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(scen) in err and "Traceback" not in err
+
 
 class TestSolve:
     def run_solve(self, scen, out="out", extra=()):
@@ -226,36 +244,6 @@ class TestSolve:
         mb = json.loads((b / "manifest.json").read_text())["outputs"]
         assert ma == mb
 
-    def test_stale_sidecar_is_reported_and_derived_again(self, workdir, capsys):
-        scen = tiny_scenario_file(Path("scen.json"))
-        fresh = self.run_solve(scen, out="fresh")
-        assert main(["derive", str(scen)]) == 0
-        sidecar = Path("scen.json.tables.json")
-        data = json.loads(sidecar.read_text())
-        data["scenario_hash"] = "0" * 64
-        sidecar.write_text(json.dumps(data))
-        capsys.readouterr()
-        stale = self.run_solve(scen, out="stale")
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(sidecar) in err
-        outputs = [json.loads((out / "manifest.json").read_text())["outputs"] for out in (fresh, stale)]
-        assert outputs[0] == outputs[1]
-
-    def test_unreadable_sidecar_is_reported_and_derived_again(self, workdir, capsys):
-        scen = tiny_scenario_file(Path("scen.json"))
-        fresh = self.run_solve(scen, out="fresh")
-        sidecar = Path("scen.json.tables.json")
-        sidecar.mkdir()  # reading it raises IsADirectoryError
-        capsys.readouterr()
-        unreadable = self.run_solve(scen, out="unreadable")
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(sidecar) in err and "Traceback" not in err
-        outputs = [json.loads((out / "manifest.json").read_text())["outputs"] for out in (fresh, unreadable)]
-        assert outputs[0] == outputs[1]
-        solution = next(r["solution_file"] for r in csv.DictReader((fresh / "front.csv").open()) if r["solution_file"])
-        assert main(["check", str(scen), str(fresh / solution)]) == 0
-        assert str(sidecar) in capsys.readouterr().err
-
     def test_theta_zero_makes_fc_equal_f2(self, workdir):
         scen = tiny_scenario_file(Path("scen.json"), seed=90, n_ma=2, n_machines=8)
         out = self.run_solve(scen, extra=("--theta", "0"))
@@ -288,24 +276,70 @@ class TestSolve:
             assert eps[0] - eps[1] >= 2.0  # delta_c respected
 
 
+def rewrite_sidecar(change):
+    """Derive the sidecar next to ``scen``, then apply ``change`` to its JSON object."""
+    def apply(scen: Path, sidecar: Path):
+        assert main(["derive", str(scen)]) == 0
+        data = json.loads(sidecar.read_text())
+        change(data)
+        sidecar.write_text(json.dumps(data))
+    return apply
+
+
+# What may lie where derive writes the sidecar, <scenario>.tables.json
+SIDECAR_STATES = {
+    "none": lambda scen, sidecar: None,
+    "stale-hash": rewrite_sidecar(lambda d: d.update(scenario_hash="0" * 64)),
+    "corrupted-row": rewrite_sidecar(lambda d: d["ban_sbs_limit"][0].pop()),
+    "garbage": lambda scen, sidecar: sidecar.write_bytes(b"\xff\xfe{"),
+    "directory": lambda scen, sidecar: sidecar.mkdir(),
+}
+
+
+class TestSidecarNotRead:
+    """solve, oracle and check derive the tables themselves: whatever lies in
+    the sidecar's place changes no output and prints nothing on stderr."""
+
+    @pytest.mark.parametrize("state", SIDECAR_STATES)
+    def test_outputs_as_without_sidecar(self, workdir, capsys, state):
+        scen = Path("scen.json")
+        scen.write_bytes(GOLDEN_SCENARIO.read_bytes())
+        cfg = write_config(Path("cfg.json"))
+
+        def run(out):
+            for command in ("solve", "oracle"):
+                assert main([command, str(scen), "--config", cfg, "--out", f"{out}-{command}", "--seed", "1"]) == 0
+            solutions = sorted(Path(f"{out}-solve", "solutions").iterdir())
+            return [json.loads(Path(f"{out}-{command}", "manifest.json").read_text())["outputs"]
+                    for command in ("solve", "oracle")], [main(["check", str(scen), str(path)]) for path in solutions]
+
+        expected = run("fresh")
+        SIDECAR_STATES[state](scen, Path("scen.json.tables.json"))
+        capsys.readouterr()
+        assert run("again") == expected
+        assert capsys.readouterr().err == ""
+
+
 # A sidecar whose scenario hash matches but whose content does not fit the
-# golden scenario (2/2/1 sites, 25 subareas, 5 machines): (field named in
-# the warning, corruption)
+# golden scenario (2/2/1 sites, 25 subareas, 5 machines)
 SIDECAR_FAULTS = {
-    "short-limit-row": ("ban_sbs_limit[0]", lambda d: d["ban_sbs_limit"][0].pop()),
-    "reach-out-of-range": ("sbs_reach[0]", lambda d: d["sbs_reach"][0].append(999)),
-    "text-limit": ("sbs_sbs_limit[0]", lambda d: d["sbs_sbs_limit"][0].__setitem__(1, "x")),
-    "text-radius": ("sbs_radius_m", lambda d: d.update(sbs_radius_m="20.0")),
-    "null-machine-limit": ("machine_limit", lambda d: d.update(machine_limit=None)),
-    "fractional-limit": ("ban_sbs_limit[0]", lambda d: d["ban_sbs_limit"][0].__setitem__(0, 2.5)),
-    "version": ("version", lambda d: d.update(version=2)),
-    "missing-field": ("ma_reach", lambda d: d.pop("ma_reach")),
+    "short-limit-row": lambda d: d["ban_sbs_limit"][0].pop(),
+    "reach-out-of-range": lambda d: d["sbs_reach"][0].append(999),
+    "text-limit": lambda d: d["sbs_sbs_limit"][0].__setitem__(1, "x"),
+    "text-radius": lambda d: d.update(sbs_radius_m="20.0"),
+    "null-machine-limit": lambda d: d.update(machine_limit=None),
+    "fractional-limit": lambda d: d["ban_sbs_limit"][0].__setitem__(0, 2.5),
+    "version": lambda d: d.update(version=2),
+    "missing-field": lambda d: d.pop("ma_reach"),
 }
 
 
 class TestMalformedSidecar:
-    @pytest.mark.parametrize("field, corrupt", SIDECAR_FAULTS.values(), ids=SIDECAR_FAULTS.keys())
-    def test_reported_and_derived_again(self, workdir, capsys, field, corrupt):
+    """load_tables reports a malformed sidecar naming its path; solve and
+    check derive the tables again and give the outputs of a run without it."""
+
+    @pytest.mark.parametrize("corrupt", SIDECAR_FAULTS.values(), ids=SIDECAR_FAULTS.keys())
+    def test_reported_and_derived_again(self, workdir, capsys, corrupt):
         scen = Path("scen.json")
         scen.write_bytes(GOLDEN_SCENARIO.read_bytes())
         cfg = write_config(Path("cfg.json"))
@@ -318,16 +352,14 @@ class TestMalformedSidecar:
             ]
 
         fresh = run("fresh")
-        assert main(["derive", str(scen)]) == 0
         sidecar = Path("scen.json.tables.json")
-        data = json.loads(sidecar.read_text())
-        corrupt(data)
-        sidecar.write_text(json.dumps(data))
+        rewrite_sidecar(corrupt)(scen, sidecar)
+        with pytest.raises(ValueError) as excinfo:
+            load_tables(sidecar, load_scenario(scen))
+        assert str(sidecar) in str(excinfo.value)
         capsys.readouterr()
         assert run("again") == fresh
-        warnings = capsys.readouterr().err.splitlines()
-        assert len(warnings) == 1 + len(fresh[1])  # solve, then each check
-        assert all(str(sidecar) in w and f"'{field}'" in w for w in warnings)
+        assert capsys.readouterr().err == ""
 
 
 class TestCheck:
@@ -383,18 +415,25 @@ class TestCheck:
             (("deployment",), [[0], [1], []], "deployment"),
             (("machines",), None, "machines"),
             (("parents", "1"), "xyz:1", "parents.1"),
+            (None, None, "broken.json"),
         ],
-        ids=["index-half", "index-text", "index-negative", "deployment-list", "machines-null", "parent-kind"],
+        ids=[
+            "index-half", "index-text", "index-negative", "deployment-list", "machines-null", "parent-kind",
+            "directory",
+        ],
     )
     def test_malformed_solution_exits_2_naming_field(self, workdir, capsys, path, value, field):
         scen, data = self.solved(workdir)
         assert "1" in data["parents"]
-        *keys, last = path
-        target = data
-        for key in keys:
-            target = target[key]
-        target[last] = value
-        Path("broken.json").write_text(json.dumps(data))
+        if path is None:  # a directory in the solution file's place
+            Path("broken.json").mkdir()
+        else:
+            *keys, last = path
+            target = data
+            for key in keys:
+                target = target[key]
+            target[last] = value
+            Path("broken.json").write_text(json.dumps(data))
         assert main(["check", str(scen), "broken.json"]) == 2
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err

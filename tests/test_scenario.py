@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -25,8 +26,6 @@ from backhaul_planner.scenario import (
     save_tables,
     scenario_from_dict,
     scenario_to_dict,
-    tables_from_dict,
-    tables_to_dict,
 )
 from util import TINY_RADIO, mid_gen_params, tiny_instance
 
@@ -208,14 +207,26 @@ class TestSerialization:
         path = tmp_path / "tables.json"
         save_tables(scenario, tables, path)
         assert load_tables(path, scenario) == tables
-        assert tables_from_dict(tables_to_dict(scenario, tables), scenario) == tables
 
     def test_tables_cache_rejects_other_scenario(self, tmp_path):
         scenario, tables = tiny_instance(26)
         other, _ = tiny_instance(27)
-        data = tables_to_dict(scenario, tables)
-        with pytest.raises(ValueError):
-            tables_from_dict(data, other)
+        path = tmp_path / "tables.json"
+        save_tables(scenario, tables, path)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_tables(path, other)
+
+    def test_tables_cache_rejects_one_changed_value(self, tmp_path):
+        scenario, tables = tiny_instance(26)
+        path = tmp_path / "tables.json"
+        save_tables(scenario, tables, path)
+        text = path.read_text()
+        data = json.loads(text)
+        assert json.dumps(data, sort_keys=True) + "\n" == text  # so only the changed value differs
+        data["ban_sbs_limit"][0][0] += 1
+        path.write_text(json.dumps(data, sort_keys=True) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_tables(path, scenario)
 
     def test_hash_stable_and_content_sensitive(self):
         a, _ = tiny_instance(28)
