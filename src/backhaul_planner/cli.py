@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import __version__, oracle as oracle_mod, pareto
@@ -399,7 +400,10 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing fills a fresh namespace
+    each call and leaves the parser as it was."""
     parser = argparse.ArgumentParser(prog="backhaul-planner", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,22 +9,24 @@ change of the relaxed objective among direct-attach and chain-insertion
 moves. Every candidate change is an exact delta: applying it and recomputing
 the relaxed objective from scratch gives the same number.
 
-The greedy step is incremental, with exact invalidation. Each unattached SBS
-keeps its best move into every group: an open BAN (direct attach) or a chain
-(insert before or after any of its nodes). A move's delta is a pure function
-of three things only: its group's state (chain nodes with their assigned
-subareas, or the BAN's slot count), the fixed multipliers, and the SBS's
-count of uncovered subareas in reach (``avail``). A step changes one chain
-and at most one BAN's slots, so only those groups and the groups of SBSs
-whose ``avail`` changed are recomputed; every other cached delta is the
-number a full rescan would compute, bit for bit. ``Move.sort_key`` totally
-orders distinct moves, so the minimum over the cache is the move the full
-rescan picks.
+The greedy step is incremental, with exact invalidation, and runs on arrays
+(``_MoveTable``): one column per SBS site, one row per insertion slot (an
+open BAN, or a place in a chain). A move's delta is a pure function of three
+things only: its slot's group (chain nodes with their assigned subareas, or
+the BAN's slot count), the fixed multipliers, and the SBS's count of
+uncovered subareas in reach (``avail``). A step changes one chain and at most
+one BAN's slots, so it rewrites only that chain's rows, in one numpy pass
+over all SBS sites, and that BAN's legality; then the whole table is priced
+from the stored terms and the current ``avail``. Every delta is computed by
+the scalar functions' operations in their order, so it is the number a full
+rescan would compute, bit for bit. ``Move.sort_key`` totally orders distinct
+moves, and the step takes the table's least entry in that order, so it picks
+the move the full rescan picks. The scalar ``delta_attach_ban`` and
+``_insert_delta`` stay as the reference the tests hold the table to.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
@@ -275,10 +277,6 @@ class PathState:
     def uncovered_in_reach(self, i: int) -> int:
         return int(np.count_nonzero(self.ws.sbs_mask[i] & ~self.covered))
 
-    def uncovered_counts(self, sbss: list[int]) -> list[int]:
-        """``uncovered_in_reach`` of every station in ``sbss`` in one pass."""
-        return (self.ws.sbs_mask[sbss] & ~self.covered).sum(axis=1).tolist()
-
     # -- mutations ----------------------------------------------------------
 
     def attach_to_ban(self, i: int, k: int, r_new: int) -> None:
@@ -454,26 +452,140 @@ class AssignResult:
     stranded_mas: tuple[int, ...]
 
 
-# sort key of "no legal move"; above every real key, as deltas are finite
-_NO_MOVE = (math.inf,)
+class _MoveTable:
+    """The move of every waiting SBS into every insertion slot, as arrays with
+    one column per SBS site and one row per slot: a row per open BAN (a
+    direct attach), then a block of ``max_hops`` rows per chain.
 
+    A chain of L nodes has L + 1 slots: before each node and after the last.
+    Splicing in after node k < L - 1 is the splice before node k + 1 (same
+    start, capacity and downstream terms, so the same delta bit for bit), and
+    ``Move.sort_key`` ranks "before" first, so that move never wins and has no
+    row.
 
-def _group_move(state: PathState, i: int, group, avail: int) -> Optional[Move]:
-    """Best move of ``i`` into one group: a BAN index or a chain. A chain's
-    insertions are ranked by ``Move.sort_key`` without its constant ``sbs``."""
-    if not isinstance(group, Chain):
-        return delta_attach_ban(state, i, group, avail)
-    if len(group.nodes) >= state.ws.max_hops:
-        return None
-    best = None
-    for pos, p in enumerate(group.nodes):
-        for kind in ("before", "after"):
-            dv, r_new, drops = _insert_delta(state, i, group, pos, kind == "before", avail)
-            key = (dv, _KIND_RANK[kind], p)
-            if best is None or key < best[0]:
-                best = (key, kind, r_new, drops)
-    (dv, _, p), kind, r_new, drops = best
-    return Move(dv, i, kind, p, r_new, tuple(drops))
+    A row keeps the terms of its deltas that ``avail`` does not enter:
+    ``base`` (every term but the last), ``coeff`` (the new node's coverage
+    coefficient), and ``cap`` and ``freed``, which bound its new coverage;
+    ``cap`` is 0 where ``coeff > 0``, as such a move covers nothing. Each step
+    prices every row as ``base + coeff * min(cap, avail + freed)``. These are
+    the operations of ``delta_attach_ban`` and ``_insert_delta``, elementwise
+    and in their order (IEEE addition commutes and ``x - y`` is ``x + (-y)``),
+    so each delta equals the scalar one bit for bit. ``base`` is inf for an
+    illegal move and in the column of an SBS that is closed or attached.
+
+    A step changes one chain's rows, at most one BAN's legality and the
+    ``avail`` of some SBSs, so only that chain's terms are rewritten.
+    """
+
+    def __init__(self, state: PathState, bans: list[int], sbss: list[int]):
+        ws = self.ws = state.ws
+        self.state = state
+        self.lam = np.asarray(state.lam, dtype=float)
+        self.neg_lam = -self.lam
+        self.avail = np.count_nonzero(ws.sbs_mask & ~state.covered, axis=1)
+        self.gone = np.ones(ws.n_sbs, dtype=bool)  # closed or attached
+        self.gone[sbss] = False
+        # row i: how many of the subareas SBS i covers each column reaches
+        self.held = np.zeros((ws.n_sbs, ws.n_sbs), dtype=int)
+        # link limits out of BAN k (row k) and SBS u (row n_ban + u)
+        self.out = np.concatenate((ws.limit_ban_sbs, ws.limit_sbs_sbs))
+
+        rows = len(bans) + len(sbss) * ws.max_hops
+        self.base = np.full((rows, ws.n_sbs), np.inf)
+        self.coeff = np.zeros((rows, ws.n_sbs))
+        self.cap = np.zeros((rows, ws.n_sbs), dtype=int)
+        self.freed = np.zeros((rows, ws.n_sbs), dtype=int)
+        # per row: kind, partner, and (node, drop mask) per node downstream
+        self.label: list = [("ban", k, ()) for k in bans] + [None] * (rows - len(bans))
+        # ties between the moves of one SBS: kind rank, then partner
+        self.span = ws.n_ban + ws.n_sbs
+        self.order = np.zeros(rows, dtype=int)
+        self.order[: len(bans)] = bans
+        self.ban_row = {k: r for r, k in enumerate(bans)}
+        self.block: dict[int, int] = {}  # id(chain) -> its first row
+        self.used = n = len(bans)
+
+        self.cap[:n] = ws.limit_ban_sbs[bans]
+        np.multiply(self.neg_lam, self.cap[:n], out=self.base[:n])
+        self.coeff[:n] = self.lam - 1.0
+        self.cap[:n, self.lam > 1] = 0
+        np.copyto(self.base[:n], np.inf, where=self.gone)
+        self.base[[r for r, k in enumerate(bans) if state.slots.get(k, 0) >= ws.scenario.ban_slots]] = np.inf
+
+    def best(self) -> Optional[Move]:
+        """The least move by ``Move.sort_key``, or None if none is legal."""
+        n = self.used
+        r_new = np.minimum(self.cap[:n], self.avail + self.freed[:n])
+        dv = self.coeff[:n] * r_new
+        dv += self.base[:n]
+        low = dv.min(initial=np.inf)
+        if low == np.inf:
+            return None
+        # ties in (column, row) order: the first column is the least SBS
+        cols, rows = (dv.T == low).nonzero()
+        i = int(cols[0])
+        rows = rows[: cols.searchsorted(i, "right")]
+        r = int(rows[self.order[rows].argmin()])
+        kind, partner, downstream = self.label[r]
+        drops = tuple(u for u, drop in downstream if drop[i])
+        return Move(float(dv[r, i]), i, kind, partner, int(r_new[r, i]), drops)
+
+    def apply(self, move: Move) -> None:
+        """Apply ``move`` to the state and update what it changed: its SBS
+        stops waiting, its chain's rows, its BAN's legality, and ``avail``."""
+        state, i = self.state, move.sbs
+        apply_move(state, move)
+        self.gone[i] = True
+        self.base[:, i] = np.inf
+        # subareas in each column's reach that the drops freed, less those
+        # the SBS now covers
+        if move.drops:
+            self.avail += self.held[list(move.drops)].sum(axis=0)
+            self.held[list(move.drops)] = 0
+        self.held[i] = self.ws.sbs_mask[:, state.assigned[i]].sum(axis=1)
+        self.avail -= self.held[i]
+        chain = state.chain_of[i]
+        if move.kind == "ban":
+            self.block[id(chain)] = self.used
+            self.used += self.ws.max_hops
+            if state.slots[move.partner] >= self.ws.scenario.ban_slots:
+                self.base[self.ban_row[move.partner]] = np.inf
+        self._price_chain(chain)
+
+    def _price_chain(self, chain: Chain) -> None:
+        """Rewrite the terms of the chain's rows; a full chain takes no SBS."""
+        ws, state, lam = self.ws, self.state, self.lam
+        first = self.block[id(chain)]
+        nodes = chain.nodes
+        if len(nodes) >= ws.max_hops:
+            self.base[first : first + ws.max_hops] = np.inf
+            return
+        rows = slice(first, first + len(nodes) + 1)
+        base, coeff, cap, freed = self.base[rows], self.coeff[rows], self.cap[rows], self.freed[rows]
+        # slot s's parent is the anchor for s = 0, else node s - 1
+        self.out.take([chain.ban] + [ws.n_ban + u for u in nodes], axis=0, out=cap)
+        np.multiply(self.neg_lam, cap, out=base)
+        freed.fill(0)
+        downstream = []
+        for k, u in enumerate(nodes):
+            # before node k: its parent's limit to it falls to the new node's
+            base[k] += state.lam[u] * (cap[k, u] - ws.limit_sbs_sbs[:, u])
+            # node k is downstream of slots 0..k
+            coeff_old = chain.prefix[k] + state.lam[u] - 1.0
+            r_u = state.r(u)
+            drop = coeff_old + lam > 0
+            inc = lam * r_u
+            np.copyto(inc, -(coeff_old * r_u), where=drop)
+            base[: k + 1] += inc
+            if r_u:
+                freed[: k + 1] += drop * self.held[u]
+            downstream.append((u, drop))
+        np.add.outer(chain.prefix, lam, out=coeff)
+        coeff -= 1.0
+        cap[coeff > 0] = 0
+        np.copyto(base, np.inf, where=self.gone)
+        self.label[rows] = [("before", u, downstream[k:]) for k, u in enumerate(nodes)] + [("after", nodes[-1], ())]
+        self.order[rows] = [self.span + u for u in nodes] + [2 * self.span + nodes[-1]]
 
 
 def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> AssignResult:
@@ -490,61 +602,18 @@ def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> 
     )
 
     unattached = deployment.open_sbss() if ws.allow_stations else []
-    # Groups are the open BANs (ints) followed by the chains in creation
-    # order. Per unattached SBS the cache holds its avail, its best move per
-    # group with that move's sort key, and the group of its least key. After
-    # a step only the touched groups, or all groups of an SBS whose avail
-    # changed, are recomputed (see the module docstring for why that is
-    # exact).
-    groups: list = deployment.open_bans()
-    group_of: dict[int, int] = {}  # id(chain) -> its index in groups
-    avail = dict(zip(unattached, state.uncovered_counts(unattached)))
-    moves: dict[int, list[Optional[Move]]] = {i: [None] * len(groups) for i in unattached}
-    keys: dict[int, list[tuple]] = {i: [_NO_MOVE] * len(groups) for i in unattached}
-
-    def refresh(i: int, dirty) -> None:
-        row, row_keys = moves[i], keys[i]
-        for g in dirty:
-            move = _group_move(state, i, groups[g], avail[i])
-            row[g] = move
-            row_keys[g] = move.sort_key() if move else _NO_MOVE
-
-    def argmin(i: int) -> int:
-        return min(range(len(groups)), key=keys[i].__getitem__)
-
-    for i in unattached:
-        refresh(i, range(len(groups)))
-    best_group = {i: argmin(i) for i in unattached} if groups else {}
-
-    while unattached and groups:
-        j = min(unattached, key=lambda i: keys[i][best_group[i]])
-        best = moves[j][best_group[j]]
-        if best is None:
+    bans = deployment.open_bans()
+    table = _MoveTable(state, bans, unattached) if unattached and bans else None
+    while table and unattached:
+        move = table.best()
+        if move is None:
             break
-        apply_move(state, best)
-        value += best.delta
-        unattached.remove(j)
-        if not unattached:
-            break
-        chain = state.chain_of[j]
-        if best.kind == "ban":
-            group_of[id(chain)] = len(groups)
-            touched = (groups.index(best.partner), len(groups))
-            groups.append(chain)
-            for i in unattached:
-                moves[i].append(None)
-                keys[i].append(_NO_MOVE)
-        else:
-            touched = (group_of[id(chain)],)
-
-        for i, a in zip(unattached, state.uncovered_counts(unattached)):
-            dirty = touched
-            if a != avail[i]:
-                avail[i] = a
-                dirty = range(len(groups))
-            refresh(i, dirty)
-            old = best_group[i]
-            best_group[i] = argmin(i) if old in dirty else min((old, *dirty), key=keys[i].__getitem__)
+        value += move.delta
+        unattached.remove(move.sbs)
+        if unattached:
+            table.apply(move)
+        else:  # the last attachment leaves nothing to reprice
+            apply_move(state, move)
 
     plan = ConnectionPlan(
         ban_cover=dict(state.ban_cover),

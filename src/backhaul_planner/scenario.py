@@ -65,6 +65,9 @@ def _check_number(
         raise error(fieldname, f"must be greater than {above}, got {value!r}")
 
 
+_PLAIN = (int, float)  # exact types, so bools and numpy scalars take the named checks
+
+
 def check_fields(prefix: str, obj, rules: dict, error=ScenarioFormatError) -> None:
     """``_check_number`` on each field of ``obj`` that ``rules`` names, with
     that field's rules; the error names it ``<prefix>.<field>``."""
@@ -242,7 +245,13 @@ class Scenario:
         groups = (("ban_sites", self.ban_sites), ("sbs_sites", self.sbs_sites), ("ma_sites", self.ma_sites))
         points = [(key, n, s.x, s.y, s.cost) for key, group in groups for n, s in enumerate(group)]
         points += [("machines", n, m.x, m.y, m.rate_bps) for n, m in enumerate(self.machines)]
+        w, h = self.width, self.height
         for key, n, x, y, amount in points:
+            # a plain in-area point passes the named checks below, so only a
+            # point that fails this test runs them (and they name its fault)
+            plain = type(x) in _PLAIN and type(y) in _PLAIN and type(amount) in _PLAIN
+            if plain and 0 <= x <= w and 0 <= y <= h and 0 < amount < math.inf:
+                continue
             where = f"{key}[{n}]"
             _check_number(f"{where}.x", x, minimum=0)
             _check_number(f"{where}.y", y, minimum=0)

@@ -180,7 +180,8 @@ def two_level_search(
     index; an empty station neighbourhood ends the inner loop without
     advancing the station clock. Each ``(sites, level)`` neighbourhood is
     built once per call (the budget, ``n_swap`` and ``ws`` are fixed) and
-    handed to every step at those sites, so ``choose`` must not mutate it.
+    handed to every step at those sites, so ``choose`` must not mutate it;
+    each list lives until the call returns, so ``choose`` may key work by its id.
     """
     anchors, stations = TabuState(), TabuState()
     built: dict[tuple[frozenset, str], list[tuple[SiteMove, Deployment]]] = {}
@@ -256,16 +257,24 @@ def solve_relaxed(
                 if site in dep.sites:
                     frequency[site] = frequency.get(site, 0) + 1
 
+    # (value, n) of each candidate list in ascending order, ranked once per
+    # search: the lists live in two_level_search's memo for the whole call,
+    # so their ids stay theirs
+    ranked: dict[int, list[tuple[float, int]]] = {}
+
     def choose(outer, inner, candidates, is_tabu):
         nonlocal incumbent, incumbent_value, diversifying
-        evals = [(ws.evaluate(dep, multipliers), n) for n, (_, dep) in enumerate(candidates)]
-        best_value, best_n = min(evals)
+        order = ranked.get(id(candidates))
+        if order is None:
+            order = sorted((ws.evaluate(dep, multipliers), n) for n, (_, dep) in enumerate(candidates))
+            ranked[id(candidates)] = order
+        best_value, best_n = order[0]
         tabu_hits = None if trace is None else sum(1 for move, _ in candidates if is_tabu(move))  # for the trace only
         if best_value < incumbent_value:  # aspiration: strict improvement overrides tabu
             incumbent, incumbent_value = candidates[best_n][1], best_value
             chosen = best_n
         else:
-            chosen = min(((v, n) for v, n in evals if not is_tabu(candidates[n][0])), default=(None, None))[1]
+            chosen = next((n for _, n in order if not is_tabu(candidates[n][0])), None)
         if chosen is None and inner >= 0:
             diversifying = (outer, inner, best_value, None, tabu_hits, True)
         else:

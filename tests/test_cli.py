@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import backhaul_planner
-from backhaul_planner import pareto
+from backhaul_planner import cli, pareto
 from backhaul_planner.cli import main
 from backhaul_planner.scenario import derive_tables, load_scenario, load_tables, save_scenario
 from backhaul_planner.tabu import SearchParams
@@ -531,6 +531,43 @@ class TestReport:
         assert main(["report", "--out", "out"]) == 2
         err = capsys.readouterr().err
         assert "bounds.csv: no 'bound' column" in err and "Traceback" not in err
+
+
+class TestParser:
+    def test_calls_in_one_process_share_no_parsed_state(self, workdir, monkeypatch):
+        """``main`` reuses one parser; a flag given to one call reaches no
+        later call, whatever its subcommand."""
+        parser = cli._build_parser()
+        parsed = []
+        parse = parser.parse_args
+
+        def spy(argv):
+            args = parse(argv)
+            parsed.append(dict(vars(args)))
+            return args
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+        scen = tiny_scenario_file(Path("scen.json"), seed=91, n_ban=2, n_sbs=3)
+        cfg = write_config(Path("cfg.json"))
+        flags = ["--theta", "0", "--restrict", "single-hop", "--delta-c", "2", "--trace", "--seed", "3"]
+        assert main(["solve", str(scen), "--config", cfg, "--out", "a", *flags]) == 0
+        assert main(["report", "--out", "a"]) == 0
+        assert main(["solve", str(scen), "--config", cfg, "--out", "b"]) == 0
+        front = list(csv.DictReader(Path("b/front.csv").open()))
+        sol = "b/" + max(front, key=lambda r: float(r["f1"]))["solution_file"]
+        assert main(["check", str(scen), sol, "--budget", "0"]) == 1
+        assert main(["check", str(scen), sol]) == 0
+
+        assert cli._build_parser() is parser
+        solve_a, report, solve_b, check_budget, check = parsed
+        assert (solve_a["theta"], solve_a["restrict"], solve_a["trace"]) == (0.0, "single-hop", True)
+        assert (solve_b["theta"], solve_b["restrict"], solve_b["delta_c"], solve_b["seed"]) == (None, None, None, None)
+        assert solve_b["trace"] is False and solve_b["out"] == "b"
+        assert set(report) == {"command", "func", "out"}
+        assert check_budget["budget"] == 0.0 and check["budget"] is None
+        manifest = json.loads(Path("b/manifest.json").read_text())["config"]["solve"]
+        assert (manifest["theta"], manifest["restrict"], manifest["delta_c"]) == (None, "none", 1.0)
+        assert not Path("b/multiplier_trace.csv").exists()
 
 
 class TestGoldenFront:

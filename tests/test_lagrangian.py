@@ -1,5 +1,6 @@
 """Relaxed objective, connection assignment, move deltas, subgradient."""
 
+import dataclasses
 import math
 import random
 
@@ -310,6 +311,20 @@ class TestIncrementalAssign:
             dep = Deployment.of(scenario, bans=range(len(scenario.ban_sites)), sbss=range(n))
             for lam in (zero_multipliers(scenario), random_lam):
                 assert_same_as_reference(ws, dep, lam)
+
+        # the benchmark's fig2-dense make-up with every site open: the MAs
+        # hold 5 of the 25 anchor slots, so 10 of the 30 SBSs are spliced
+        # into chains (with drops under the multipliers of 1 and more)
+        dense = generate_scenario(dataclasses.replace(preset_gen_params("paper-fig2"), n_sbs=30, n_ma=5), 0)
+        ws = Workspace(dense, cached_tables(dense), THETA, restrict)
+        everything = Deployment.of(dense, bans=range(5), sbss=range(30), mas=range(5))
+        rng = random.Random(1)
+        for lam in (
+            zero_multipliers(dense),
+            tuple(rng.uniform(0.0, 2.0) for _ in dense.sbs_sites),
+            tuple(rng.uniform(1.0, 3.0) for _ in dense.sbs_sites),
+        ):
+            assert_same_as_reference(ws, everything, lam)
 
 
 class TestMoveDeltas:

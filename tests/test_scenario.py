@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from backhaul_planner import (
@@ -19,6 +21,7 @@ from backhaul_planner import (
     scenario_hash,
 )
 from backhaul_planner.scenario import (
+    Machine,
     ScenarioFormatError,
     load_scenario,
     load_tables,
@@ -92,6 +95,48 @@ class TestGeneration:
         scenario = generate_scenario(GenParams(width=95, height=42, subarea_side=10, n_machines=0), 3)
         assert scenario.grid_shape == (10, 5)
         assert scenario.n_subareas == 50
+
+
+# (field, value) -> the message's tail after "scenario field '<point>"
+POINT_FAULTS = {
+    "x-bool": ("x", True, ".x': expected a number, got True"),
+    "x-text": ("x", "3", ".x': expected a number, got '3'"),
+    "x-nan": ("x", math.nan, ".x': must be finite, got nan"),
+    "x-inf": ("x", math.inf, ".x': must be finite, got inf"),
+    "y-minus-inf": ("y", -math.inf, ".y': must be finite, got -inf"),
+    "y-negative": ("y", -1.0, ".y': must be at least 0, got -1.0"),
+    "amount-zero": ("amount", 0, ".{amount}': must be greater than 0, got 0"),
+    "amount-inf": ("amount", math.inf, ".{amount}': must be finite, got inf"),
+    "amount-negative": ("amount", -2.5, ".{amount}': must be greater than 0, got -2.5"),
+    "x-outside": ("x", 10.5, "': position (10.5, 2.0) outside area"),
+    "y-outside": ("y", 11, "': position (1.0, 11) outside area"),
+}
+
+
+def scenario_with_point(role: str, x=1.0, y=2.0, amount=3.0) -> Scenario:
+    """A 10 x 10 scenario whose second BAN site (role "site") or second
+    machine (role "machine") has the given position and cost or rate."""
+    site = Site(x, y, amount) if role == "site" else Site(1.0, 1.0, 1.0)
+    machines = (Machine(x, y, amount),) if role == "machine" else ()
+    return Scenario(
+        width=10, height=10, radio=RadioConfig(), ban_sites=(Site(5.0, 5.0, 1.0), site), sbs_sites=(),
+        ma_sites=(), machines=(Machine(1.0, 1.0, 1.0),) + machines, subarea_side=5.0,
+    )
+
+
+class TestPointChecks:
+    @pytest.mark.parametrize("role", ["site", "machine"])
+    @pytest.mark.parametrize("fault", sorted(POINT_FAULTS))
+    def test_message_names_the_point_and_its_fault(self, role, fault):
+        field, value, tail = POINT_FAULTS[fault]
+        point, amount = ("ban_sites[1]", "cost") if role == "site" else ("machines[1]", "rate")
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_with_point(role, **{field: value})
+        assert str(err.value) == f"scenario field '{point}" + tail.format(amount=amount)
+
+    @pytest.mark.parametrize("role", ["site", "machine"])
+    def test_other_numbers_on_the_boundary_pass(self, role):
+        scenario_with_point(role, x=10, y=np.float64(0.0), amount=Fraction(1, 3))
 
 
 class TestDerivedTables:

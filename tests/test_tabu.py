@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -261,6 +262,31 @@ class TestSolveRelaxed:
         rows = list(csv.DictReader(path.open()))
         assert len(rows) == len(trace)
         assert list(rows[0]) == TRACE_FIELDS
+
+    @pytest.mark.parametrize("seed", [2000, 2001, 2003])
+    def test_each_candidate_is_evaluated_once_per_search(self, monkeypatch, seed):
+        """A revisited neighbourhood is ranked once: ``ws.evaluate`` sees each
+        candidate of each memoized list at most once per search."""
+        scenario, tables = tiny_instance(seed)
+        ws = Workspace(scenario, tables, theta=THETA)
+        lists, evaluated = [], []
+        original, evaluate = tabu.neighborhood, ws.evaluate
+
+        def recording(*args):
+            lists.append(original(*args))
+            return lists[-1]
+
+        def counting(deployment, multipliers):
+            evaluated.append(deployment)  # kept alive, so no id is reused
+            return evaluate(deployment, multipliers)
+
+        monkeypatch.setattr(tabu, "neighborhood", recording)
+        monkeypatch.setattr(ws, "evaluate", counting)
+        trace = []
+        solve_relaxed(ws, zero_multipliers(scenario), scenario.total_cost() / 2, SearchParams(seed=4), trace=trace)
+        calls = Counter(map(id, evaluated))
+        assert len(trace) > len(lists)  # the search revisited some lists
+        assert all(calls[id(dep)] <= 1 for candidates in lists for _, dep in candidates)
 
 
 SITE_KEYS = st.tuples(st.sampled_from(["ban", "sbs", "ma"]), st.integers(0, 3))
