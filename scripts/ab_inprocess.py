@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Time ``pareto.solve`` of a parent revision against this tree in one process.
+
+Checks PARENT_REV out into a temporary git worktree and imports its
+``backhaul_planner`` package as ``backhaul_planner_parent``, next to this
+tree's own ``backhaul_planner`` (from ``src/``, committed or not). Generates
+the instances of a benchmark workload for one seed as ``bench/run.py`` does
+(``gen`` through this tree's command line), then derives each instance's
+tables and settings once per side, with the workload's ``gen`` and ``config``
+read from ``bench/workload.py``. Each rep solves every instance once per side;
+the side that goes first alternates. Every solve's front and bounds must equal
+the other side's by ``float.hex``. Prints the median seconds of a rep per
+side, the median of the per-rep ratios (this tree / parent) and how many reps
+this tree won.
+
+Both trees share one process, so the drift between processes that a pair of
+``bench/run.py`` runs sees does not enter the ratio.
+
+Usage:
+    python3 scripts/ab_inprocess.py PARENT_REV --workload tiny-search --reps 20 [--seed 0]
+"""
+
+import argparse
+import contextlib
+import importlib
+import importlib.util
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from backhaul_planner import cli  # noqa: E402
+from workload import WORKLOADS  # noqa: E402
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def load_package(src: Path, name: str):
+    """The ``backhaul_planner`` package under ``src``, imported as ``name``."""
+    package = src / "backhaul_planner"
+    spec = importlib.util.spec_from_file_location(name, package / "__init__.py",
+                                                  submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Side:
+    """One tree's planner with its own scenario, tables and settings per instance."""
+
+    def __init__(self, name: str, scenario_paths: list[Path], configs: list[dict], seeds: list[int]):
+        self.scenario = importlib.import_module(f"{name}.scenario")
+        self.pareto = importlib.import_module(f"{name}.pareto")
+        cli = importlib.import_module(f"{name}.cli")
+        self.instances = []
+        for path, config, seed in zip(scenario_paths, configs, seeds):
+            sc = self.scenario.load_scenario(path)
+            args = SimpleNamespace(seed=seed, theta=None, delta_c=None, delta_eps=None, restrict=None,
+                                   max_iterations=None)
+            self.instances.append((sc, self.scenario.derive_tables(sc), cli._solve_params(args, config)))
+        self.times: list[float] = []
+
+    def rep(self) -> list:
+        """Solves every instance once; returns the fronts and bounds by float.hex."""
+        out = []
+        start = time.perf_counter()
+        for sc, tables, params in self.instances:
+            result = self.pareto.solve(sc, tables, params)
+            out.append((
+                [(float(e.objectives.cost).hex(), float(e.objectives.weighted_uncovered).hex(),
+                  sorted(e.solution.deployment.sites)) for e in result.front],
+                [(float(b.epsilon).hex(), float(b.bound).hex()) for b in result.bounds],
+            ))
+        self.times.append(time.perf_counter() - start)
+        return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", metavar="PARENT_REV", help="the revision this tree is compared against")
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--reps", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+
+    workload = WORKLOADS[args.workload]
+    k = len(workload.gen)
+    seeds = [args.seed * k + i for i in range(k)]
+    with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
+        tree = Path(tmp, "parent")
+        git("worktree", "add", "--detach", str(tree), git("rev-parse", args.parent))
+        try:
+            paths = []
+            for i, (gen, seed) in enumerate(zip(workload.gen, seeds)):
+                config = Path(tmp, f"gen{i}.json")
+                config.write_text(json.dumps({"gen": gen}))
+                paths.append(Path(tmp, f"scenario{i}.json"))
+                preset = ["--preset", workload.preset] if workload.preset else []
+                with contextlib.redirect_stdout(sys.stderr):
+                    if cli.main(["gen", *preset, "--config", str(config), "--seed", str(seed),
+                                 "--out", str(paths[-1])]) != 0:
+                        raise SystemExit(f"gen failed for instance {i}")
+            load_package(tree / "src", "backhaul_planner_parent")
+            configs = [workload.config] * k
+            sides = {"parent": Side("backhaul_planner_parent", paths, configs, seeds),
+                     "change": Side("backhaul_planner", paths, configs, seeds)}
+        finally:
+            git("worktree", "remove", "--force", str(tree))
+
+    for rep in range(args.reps):
+        order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
+        results = {side: sides[side].rep() for side in order}
+        if results["parent"] != results["change"]:
+            print(f"rep {rep}: the fronts or bounds differ", file=sys.stderr)
+            return 1
+        print(f"rep {rep}: parent {sides['parent'].times[-1]:.4f} s, change {sides['change'].times[-1]:.4f} s",
+              file=sys.stderr)
+
+    parent, change = sides["parent"].times, sides["change"].times
+    ratios = [c / p for p, c in zip(parent, change)]
+    print(f"{args.workload}: {args.reps} reps, seed {args.seed}, fronts and bounds equal in every rep")
+    print(f"  parent median {statistics.median(parent):.4f} s")
+    print(f"  change median {statistics.median(change):.4f} s")
+    print(f"  ratio median  {statistics.median(ratios):.3f} (change / parent)")
+    print(f"  change wins   {sum(r < 1 for r in ratios)} of {args.reps}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

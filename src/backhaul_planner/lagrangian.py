@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ConnectionPlan, Deployment, IntegrityError, ParentRef, SiteKey, Solution, root_path, sbs_loads
+from .model import ConnectionPlan, Deployment, IntegrityError, ParentRef, SiteKey, Solution, cost, root_path, sbs_loads
 from .scenario import TOLERANCE, DerivedTables, Scenario, resolve_theta
 
 Multipliers = tuple[float, ...]
@@ -132,6 +132,14 @@ class Workspace:
         self._anchor_cache: dict = {}
         self._value_cache: dict = {}
         self._plan_cache: dict = {}
+        self._cost_cache: dict = {}
+
+    def deployment_cost(self, deployment: Deployment) -> float:
+        """Memoized ``model.cost`` of the deployment, keyed by its sites."""
+        hit = self._cost_cache.get(deployment.sites)
+        if hit is None:
+            hit = self._cost_cache[deployment.sites] = cost(deployment, self.scenario)
+        return hit
 
     def evaluate(self, deployment: Deployment, multipliers: Multipliers) -> float:
         """Memoized relaxed value of the greedy connection assignment."""

@@ -239,9 +239,11 @@ def check_feasibility(
             add(Violation("access-distance", (i, subarea), f"subarea {subarea} does not exist"))
         elif 0 <= i < n_sbs and tables.sbs_subarea_m[i][subarea] > tables.sbs_radius_m + TOLERANCE:
             add(Violation("access-distance", (i, subarea), f"subarea {subarea} out of range of sbs {i}"))
-    reach_by_ma = {j: set(r) for j, r in enumerate(tables.ma_reach)}
+    reach_by_ma: dict[int, set] = {}  # built for the MAs the plan names only
     for m, j in sorted(plan.machine_cover.items()):
-        if m not in reach_by_ma.get(j, ()):
+        if j not in reach_by_ma:
+            reach_by_ma[j] = set(tables.ma_reach[j]) if 0 <= j < len(tables.ma_reach) else set()
+        if m not in reach_by_ma[j]:
             add(Violation("machine-distance", (j, m), f"machine {m} out of range of ma {j}"))
 
     # anchor slot budget

@@ -215,39 +215,65 @@ class _FrontSearch:
 
     def run(self, start: Deployment, front: list[FrontEntry]) -> tuple[list[FrontEntry], list[FrontEntry]]:
         found: list[FrontEntry] = []
+        # strict dominance is transitive and merge_front drops only dominated
+        # entries, so offering a result again in one run is a no-op: each
+        # deployment is offered once
+        offered: set = set()
+        # id of a candidate list -> [mark, entries, live]: its feasible
+        # candidates as (fc, cost, n, move, objectives) in ascending order,
+        # the qualifying ones, and len(found) when those were last tested
+        ranked: dict[int, list] = {}
 
-        def add(sol: Solution, obj: ObjectiveVector) -> None:
+        def add(dep: Deployment, res: tuple[Solution, ObjectiveVector]) -> None:
             nonlocal front
-            front, added = merge_front(front, FrontEntry(sol, obj, self.budget))
-            if added:
-                found.append(added)
+            if dep.sites not in offered:
+                offered.add(dep.sites)
+                front, added = merge_front(front, FrontEntry(*res, self.budget))
+                if added:
+                    found.append(added)
 
         def harvest(dep: Deployment, *_) -> None:
             res = self.evaluate(dep)
             if res and self.in_window(res[1]):
-                add(*res)
+                add(dep, res)
 
-        def choose(outer, inner, candidates, is_tabu):
-            """Merge every in-window nondominated candidate, then move to the
-            least (fc, cost, n) of them that is not tabu, or else of any
-            feasible candidate that is not tabu."""
-            entries = []
+        def rank(candidates) -> list:
+            mark, entries, live, merges = len(found), [], [], []
             for n, (move, dep) in enumerate(candidates):
                 res = self.evaluate(dep)
                 if res is not None:
                     obj = res[1]
-                    qualifies = self.in_window(obj) and not any(dominates(e.objectives, obj) for e in front)
-                    entries.append((n, move, res, qualifies))
-            for _, _, res, qualifies in entries:
-                if qualifies:
-                    add(*res)
-            allowed = [
-                (obj.weighted_uncovered, obj.cost, n, qualifies)
-                for n, move, (_, obj), qualifies in entries
-                if not is_tabu(move)
-            ]
-            pool = [key for key in allowed if key[3]] or allowed
-            return min(pool)[2] if pool else None
+                    entry = (obj.weighted_uncovered, obj.cost, n, move, obj)
+                    entries.append(entry)
+                    if self.in_window(obj) and not any(dominates(e.objectives, obj) for e in front):
+                        live.append(entry)
+                        merges.append((dep, res))
+            for dep, res in merges:
+                add(dep, res)
+            entries.sort()  # n is unique, so no move or objective is ever compared
+            live.sort()
+            return [mark, entries, live]
+
+        def choose(outer, inner, candidates, is_tabu):
+            """Merge every in-window nondominated candidate, then move to the
+            least (fc, cost, n) of them that is not tabu, or else of any
+            feasible candidate that is not tabu. A revisited list re-tests
+            only its candidates that still qualify, and only against the
+            entries found since its last visit: one that was not dominated
+            then is dominated now iff such an entry dominates it."""
+            ranking = ranked.get(id(candidates))
+            if ranking is None:
+                ranking = ranked[id(candidates)] = rank(candidates)
+            elif len(found) > ranking[0]:
+                since = found[ranking[0]:]
+                ranking[2] = [e for e in ranking[2] if not any(dominates(f.objectives, e[4]) for f in since)]
+                ranking[0] = len(found)
+            _, entries, live = ranking
+            for pool in (live, entries):
+                for entry in pool:
+                    if not is_tabu(entry[3]):
+                        return entry[2]
+            return None
 
         # the front search counts no site frequencies, so its diversification
         # opens the first closed station sites in (kind, index) order

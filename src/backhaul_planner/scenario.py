@@ -758,10 +758,47 @@ def scenario_hash(scenario: Scenario) -> str:
     return scenario._content_hash
 
 
+@cache
+def _flat_encoder(indent: str) -> json.JSONEncoder:
+    # no indent, so encode() runs the C encoder; the separator indents items
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + indent, ": "))
+
+
+def _no_containers(values) -> bool:
+    """Whether no value is a non-empty object or array."""
+    return not any(isinstance(v, (dict, list)) and v for v in values)
+
+
+def indented_json(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=1, sort_keys=True)`` for string-keyed
+    objects, in the same bytes. That call runs the pure-Python encoder; here
+    the C encoder writes every object or array that holds no non-empty one,
+    and every array of such objects in one call."""
+    if not isinstance(value, (dict, list)) or not value:
+        return json.dumps(value)
+    inner, outer = " " * (level + 1), " " * level
+    if _no_containers(value.values() if isinstance(value, dict) else value):
+        text = _flat_encoder(inner).encode(value)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{outer}{text[-1]}"
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {indented_json(v, level + 1)}" for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + outer + "}"
+    if all(isinstance(row, dict) and row for row in value) and _no_containers(
+        v for row in value for v in row.values()
+    ):
+        # JSON strings escape newlines, so each newline the encoder writes
+        # starts a separator, and within a row one is followed by a key
+        deeper = inner + " "
+        bodies = _flat_encoder(deeper).encode(value)[2:-2].split("},\n" + deeper + "{")
+        items = [f"{{\n{deeper}{body}\n{inner}}}" for body in bodies]
+    else:
+        items = [indented_json(v, level + 1) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + outer + "]"
+
+
 def save_scenario(scenario: Scenario, path) -> None:
     with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(indented_json(scenario_to_dict(scenario)) + "\n")
 
 
 def load_scenario(path) -> Scenario:

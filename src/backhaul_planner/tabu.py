@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .lagrangian import Multipliers, Workspace
-from .model import Deployment, SiteKey, Solution, cost
+from .model import Deployment, SiteKey, Solution
 from .scenario import TOLERANCE, ConfigFieldError, check_fields
 
 
@@ -106,7 +106,7 @@ def neighborhood(
     """All open/close/swap moves at one level whose result stays within
     budget, in a fixed order (opens, closes, swaps; each by site index)."""
     sites, site_cost = ws.sites[level], ws.site_cost
-    base = cost(deployment, ws.scenario)
+    base = ws.deployment_cost(deployment)
     open_sites = deployment.sites
     moves: list[SiteMove] = []
     for site in sites:
@@ -141,19 +141,19 @@ def _diversify(
     """Open the n_div least-frequently deployed station sites, closing random
     incumbents if needed to stay within budget."""
     sites = ws.sites["station"]
-    opened = sorted(
-        (s for s in sites if s not in deployment.sites),
-        key=lambda s: (frequency.get(s, 0), s),
-    )[: params.n_div]
+    ranked = sorted((frequency.get(s, 0), s) for s in sites if s not in deployment.sites)
+    opened = [s for _, s in ranked[: params.n_div]]
+    closable = sorted(s for s in sites if s in deployment.sites)  # the incumbents, sorted for the draws
     dep = Deployment(deployment.sites.union(opened))
-    while cost(dep, ws.scenario) > budget + TOLERANCE:
-        closable = sorted(s for s in sites if s in dep.sites and s not in opened)
+    while ws.deployment_cost(dep) > budget + TOLERANCE:
         if closable:
-            dep = Deployment(dep.sites - {rng.choice(closable)})
-            continue
-        if not opened:
+            site = rng.choice(closable)
+            closable.remove(site)
+        elif opened:
+            site = opened.pop()
+        else:
             break
-        dep = Deployment(dep.sites - {opened.pop()})
+        dep = Deployment(dep.sites - {site})
     return dep
 
 
@@ -243,7 +243,7 @@ def solve_relaxed(
     its greedy connection plan and relaxed value."""
     start = initial_deployment(ws, budget)
     incumbent, incumbent_value = start, ws.evaluate(start, multipliers)
-    station_sites = ws.sites["station"]
+    station_sites = frozenset(ws.sites["station"])
     frequency: dict[SiteKey, int] = {}
     diversifying = None  # the trace row of a station step that picked nothing
 
@@ -253,33 +253,34 @@ def solve_relaxed(
 
     def visit(dep: Deployment, outer: int, inner: int) -> None:
         if inner >= 0:
-            for site in station_sites:
-                if site in dep.sites:
-                    frequency[site] = frequency.get(site, 0) + 1
+            for site in station_sites.intersection(dep.sites):
+                frequency[site] = frequency.get(site, 0) + 1
 
-    # (value, n) of each candidate list in ascending order, ranked once per
-    # search: the lists live in two_level_search's memo for the whole call,
-    # so their ids stay theirs
-    ranked: dict[int, list[tuple[float, int]]] = {}
+    # (value, n, move, deployment) of each candidate list in ascending order,
+    # ranked once per search: the lists live in two_level_search's memo for
+    # the whole call, so their ids stay theirs
+    ranked: dict[int, list[tuple[float, int, SiteMove, Deployment]]] = {}
 
     def choose(outer, inner, candidates, is_tabu):
         nonlocal incumbent, incumbent_value, diversifying
         order = ranked.get(id(candidates))
         if order is None:
-            order = sorted((ws.evaluate(dep, multipliers), n) for n, (_, dep) in enumerate(candidates))
+            order = sorted(
+                (ws.evaluate(dep, multipliers), n, move, dep) for n, (move, dep) in enumerate(candidates)
+            )  # n is unique, so no move or deployment is ever compared
             ranked[id(candidates)] = order
-        best_value, best_n = order[0]
+        best_value, _, _, best_dep = order[0]
         tabu_hits = None if trace is None else sum(1 for move, _ in candidates if is_tabu(move))  # for the trace only
         if best_value < incumbent_value:  # aspiration: strict improvement overrides tabu
-            incumbent, incumbent_value = candidates[best_n][1], best_value
-            chosen = best_n
+            incumbent, incumbent_value = best_dep, best_value
+            chosen = order[0]
         else:
-            chosen = next((n for _, n in order if not is_tabu(candidates[n][0])), None)
+            chosen = next((entry for entry in order if not is_tabu(entry[2])), None)
         if chosen is None and inner >= 0:
             diversifying = (outer, inner, best_value, None, tabu_hits, True)
         else:
-            record(outer, inner, best_value, None if chosen is None else candidates[chosen][0], tabu_hits, False)
-        return chosen
+            record(outer, inner, best_value, None if chosen is None else chosen[2], tabu_hits, False)
+        return None if chosen is None else chosen[1]
 
     def diversified(dep: Deployment) -> None:
         nonlocal incumbent, incumbent_value

@@ -47,7 +47,8 @@ def test_tiny_solve_calls_the_search_layers(tracing):
         tracer.uninstall()
     assert pareto.solve is original
     calls = {name: stat.calls for name, stat in tracer.stats.items()}
-    for name in ("tabu.solve_relaxed", "pareto.front_search", "tabu.neighborhood", "tabu.diversify"):
+    layers = ("tabu.solve_relaxed", "pareto.front_search", "tabu.neighborhood", "tabu.diversify", "pareto.merge_front")
+    for name in layers:
         assert calls.get(name, 0) >= 1, (name, calls)
     assert len(result.epsilons) == 3
     assert calls["pareto.front_search"] == 3  # one per budget

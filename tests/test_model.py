@@ -1,5 +1,6 @@
 """Solution structures: objectives, dominance, routing, feasibility checks."""
 
+import dataclasses
 import json
 
 import pytest
@@ -300,6 +301,22 @@ class TestFeasibility:
         sol = chain_solution(scenario)
         assert "budget" in self.codes(sol, scenario, tables, budget=5.0)
         assert "budget" not in self.codes(sol, scenario, tables, budget=50.0)
+
+    def test_machines_out_of_reach_at_two_mas_and_a_missing_one(self, scenario):
+        """MA 1 sits 20 m from machine 3 and about 40 m from the others."""
+        two_mas = dataclasses.replace(scenario, ma_sites=scenario.ma_sites + (Site(50.0, 30.0, 1.0),))
+        tables = derive_tables(two_mas)
+        assert tables.ma_reach == ((0, 1, 2), (3,))
+        sol = chain_solution(two_mas)
+        sol.deployment = Deployment.of(two_mas, bans=[0, 1], sbss=[0, 1], mas=[0, 1])
+        sol.plan.ma_parent = {0: 0, 1: 1}
+        sol.plan.machine_cover = {0: 1, 1: 0, 2: 5, 3: 0}
+        assert [(v.code, v.subject) for v in check_feasibility(sol, two_mas, tables)] == [
+            ("cover-undeployed", (5, 2)),
+            ("machine-distance", (1, 0)),
+            ("machine-distance", (5, 2)),
+            ("machine-distance", (0, 3)),
+        ]
 
     def test_out_of_range_indices_reported_not_crashing(self, scenario, tables):
         sol = chain_solution(scenario)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,7 +33,8 @@ from backhaul_planner.pareto import (
     merge_front,
     update_epsilon,
 )
-from util import TINY_RADIO, tiny_instance
+from backhaul_planner import pareto, tabu
+from util import TINY_RADIO, reference_front_run, tiny_instance
 
 THETA = 0.5
 FAST_SEARCH = SearchParams(n_outer=3, n_inner=4, n_div=1, tenure_ban=1, tenure_station=2, seed=2)
@@ -277,6 +279,62 @@ class TestSolve:
                 res = solve(scenario, tables, params=dataclasses.replace(FAST, restrict=mode))
                 best_mode = min(e.objectives.weighted_uncovered for e in res.front)
                 assert best_full <= best_mode + 1e-9
+
+
+class TestFrontSearchReference:
+    """``_FrontSearch.run`` ranks each candidate list once per run and offers
+    each deployment to ``merge_front`` once; the rescan it replaced tested and
+    offered every qualifying candidate on every visit."""
+
+    PARAMS = SolveParams(
+        n_lagrangian=3,
+        search=SearchParams(n_outer=50, n_inner=50, n_div=2, tenure_ban=7, tenure_station=10, seed=0),
+    )
+
+    def sweep(self, monkeypatch, seed, run):
+        """The sweep's result, every front-search choice in order and every
+        (run, solution id) that a front search offered to merge_front."""
+        scenario, tables = tiny_instance(seed)
+        choices, offers, runs = [], [], []
+        search_loop, merge = tabu.two_level_search, pareto.merge_front
+
+        def recording_loop(*args):
+            *head, choose, visit = args
+
+            def recording_choose(*step):
+                choices.append(choose(*step))
+                return choices[-1]
+
+            return search_loop(*head, recording_choose, visit)
+
+        def counting_merge(front, entry):
+            if runs and runs[-1] is not None:
+                offers.append((len(runs), id(entry.solution)))  # the search keeps each solution alive
+            return merge(front, entry)
+
+        def tracked_run(search, start, front):
+            runs.append(search)
+            try:
+                return run(search, start, front)
+            finally:
+                runs.append(None)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tabu, "two_level_search", recording_loop)
+            patch.setattr(pareto, "merge_front", counting_merge)
+            patch.setattr(pareto._FrontSearch, "run", tracked_run)
+            result = solve(scenario, tables, params=self.PARAMS)
+        front = [(e.objectives.cost, e.objectives.weighted_uncovered, e.solution.deployment) for e in result.front]
+        return (front, result.bounds, result.epsilons), choices, offers
+
+    @pytest.mark.parametrize("seed", range(2000, 2010))
+    def test_matches_the_rescan_reference(self, monkeypatch, seed):
+        result, choices, offers = self.sweep(monkeypatch, seed, pareto._FrontSearch.run)
+        reference, reference_choices, reference_offers = self.sweep(monkeypatch, seed, reference_front_run)
+        assert result == reference
+        assert choices == reference_choices and len(choices) > 0
+        assert max(Counter(offers).values()) == 1
+        assert len(offers) < len(reference_offers)
 
 
 class TestGapReport:

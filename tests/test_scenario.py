@@ -1,5 +1,6 @@
 """Scenario generation, table derivation, and serialization."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from backhaul_planner import (
     GenParams,
@@ -23,6 +25,7 @@ from backhaul_planner import (
 from backhaul_planner.scenario import (
     Machine,
     ScenarioFormatError,
+    indented_json,
     load_scenario,
     load_tables,
     save_scenario,
@@ -225,6 +228,42 @@ class TestSerialization:
         save_scenario(scenario, path)
         assert load_scenario(path) == scenario
         assert scenario_hash(load_scenario(path)) == scenario_hash(scenario)
+
+    @pytest.mark.parametrize("name", ["golden", "fig2-dense", "tiny-search"])
+    def test_scenario_bytes_as_the_indenting_encoder_writes_them(self, tmp_path, name):
+        if name == "golden":
+            scenario = load_scenario(Path(__file__).parent / "data" / "golden_scenario.json")
+        elif name == "fig2-dense":
+            params = dataclasses.replace(preset_gen_params("paper-fig2"), n_sbs=30, n_ma=5)
+            scenario = generate_scenario(params, 0)
+        else:
+            scenario, _ = tiny_instance(2000, n_ban=3, n_sbs=2, n_ma=2, n_machines=10)
+        path = tmp_path / "scenario.json"
+        save_scenario(scenario, path)
+        expected = json.dumps(scenario_to_dict(scenario), indent=1, sort_keys=True) + "\n"
+        assert path.read_text() == expected
+
+    FLOATS = [1e-07, 1e16, -0.0, 0.0, 3.0, 2.5e-320, 1.7976931348623157e308, 0.1 + 0.2, float("inf"), -12345678.0]
+
+    def test_floats_and_shapes_as_the_indenting_encoder_writes_them(self):
+        scenario, _ = tiny_instance(21)
+        data = scenario_to_dict(scenario)
+        data["ban_sites"][0].update(x=1e-07, y=-0.0, cost=1e16)
+        data["machines"][-1]["rate"] = 50000
+        values = [data, self.FLOATS, {"rows": [{"a": x, "b": [x, {}]} for x in self.FLOATS]}, [], {}, [[]],
+                  [{}], {"k": [[], {}]}, [{"a, b": "c, d", "e": "},\n  {"}, {"f": None}], "text", 7, True]
+        for value in values:
+            assert indented_json(value) == json.dumps(value, indent=1, sort_keys=True)
+
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=30,
+    )
+
+    @given(JSON)
+    def test_any_json_value_as_the_indenting_encoder_writes_it(self, value):
+        assert indented_json(value) == json.dumps(value, indent=1, sort_keys=True)
 
     def test_dict_round_trip_via_json(self):
         scenario, _ = tiny_instance(22)

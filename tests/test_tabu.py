@@ -20,7 +20,7 @@ from backhaul_planner import (
 from backhaul_planner import tabu
 from backhaul_planner.lagrangian import Workspace
 from backhaul_planner.tabu import SiteMove, TabuState, two_level_search
-from util import random_multipliers, tiny_instance
+from util import random_deployment, random_multipliers, reference_diversify, tiny_instance
 
 THETA = 0.5
 FAST = SearchParams(n_outer=4, n_inner=5, n_div=1, tenure_ban=2, tenure_station=3, seed=1)
@@ -287,6 +287,31 @@ class TestSolveRelaxed:
         calls = Counter(map(id, evaluated))
         assert len(trace) > len(lists)  # the search revisited some lists
         assert all(calls[id(dep)] <= 1 for candidates in lists for _, dep in candidates)
+
+
+class TestDiversify:
+    @pytest.mark.parametrize("restrict", ["none", "fiber-only"])
+    @pytest.mark.parametrize("seed", range(2000, 2010))
+    def test_matches_the_rescan_reference(self, seed, restrict):
+        """Same deployment and same random draws as the loop that sorted the
+        closable stations again and priced the deployment on every pass."""
+        scenario, tables = tiny_instance(seed)
+        ws = Workspace(scenario, tables, theta=THETA, restrict=restrict)
+        draw = random.Random(seed)
+        drew = 0
+        for _ in range(40):
+            dep = random_deployment(draw, scenario)
+            frequency = {site: draw.randint(0, 5) for site in ws.sites["station"] if draw.random() < 0.7}
+            budget = draw.uniform(0.0, scenario.total_cost())
+            params = SearchParams(n_div=draw.randint(1, 3))
+            rng, reference_rng = random.Random(draw.random()), random.Random()
+            state = rng.getstate()
+            reference_rng.setstate(state)
+            got = tabu._diversify(dep, ws, budget, frequency, params, rng)
+            assert got == reference_diversify(dep, ws, budget, frequency, params, reference_rng)
+            assert rng.getstate() == reference_rng.getstate()
+            drew += rng.getstate() != state
+        assert drew > 0 or restrict == "fiber-only"
 
 
 SITE_KEYS = st.tuples(st.sampled_from(["ban", "sbs", "ma"]), st.integers(0, 3))

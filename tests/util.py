@@ -316,3 +316,73 @@ def reference_assign(ws, deployment, multipliers):
         machine_cover=dict(anchor.machine_cover),
     )
     return AssignResult(plan, value, tuple(sorted(unattached)), anchor.stranded_mas)
+
+
+def reference_diversify(deployment, ws, budget, frequency, params, rng):
+    """``tabu._diversify`` as a rescan: each pass of the closing loop sorts
+    the closable stations again and prices the deployment by ``model.cost``.
+    Kept as the reference the one-list loop must reproduce, down to the
+    random draws."""
+    from backhaul_planner import Deployment, cost
+    from backhaul_planner.scenario import TOLERANCE
+
+    sites = ws.sites["station"]
+    opened = sorted(
+        (s for s in sites if s not in deployment.sites),
+        key=lambda s: (frequency.get(s, 0), s),
+    )[: params.n_div]
+    dep = Deployment(deployment.sites.union(opened))
+    while cost(dep, ws.scenario) > budget + TOLERANCE:
+        closable = sorted(s for s in sites if s in dep.sites and s not in opened)
+        if closable:
+            dep = Deployment(dep.sites - {rng.choice(closable)})
+            continue
+        if not opened:
+            break
+        dep = Deployment(dep.sites - {opened.pop()})
+    return dep
+
+
+def reference_front_run(search, start, front):
+    """``pareto._FrontSearch.run`` as a rescan: every visit of a candidate
+    list evaluates each candidate, tests it against the whole front and
+    offers every qualifying one to ``merge_front`` again, and every harvest
+    offers its deployment. Kept as the reference for the ranked lists."""
+    from backhaul_planner import pareto, tabu
+    from backhaul_planner.model import dominates
+
+    found = []
+
+    def add(sol, obj):
+        nonlocal front
+        front, added = pareto.merge_front(front, pareto.FrontEntry(sol, obj, search.budget))
+        if added:
+            found.append(added)
+
+    def harvest(dep, *_):
+        res = search.evaluate(dep)
+        if res and search.in_window(res[1]):
+            add(*res)
+
+    def choose(outer, inner, candidates, is_tabu):
+        entries = []
+        for n, (move, dep) in enumerate(candidates):
+            res = search.evaluate(dep)
+            if res is not None:
+                obj = res[1]
+                qualifies = search.in_window(obj) and not any(dominates(e.objectives, obj) for e in front)
+                entries.append((n, move, res, qualifies))
+        for _, _, res, qualifies in entries:
+            if qualifies:
+                add(*res)
+        allowed = [
+            (obj.weighted_uncovered, obj.cost, n, qualifies)
+            for n, move, (_, obj), qualifies in entries
+            if not is_tabu(move)
+        ]
+        pool = [key for key in allowed if key[3]] or allowed
+        return min(pool)[2] if pool else None
+
+    end = tabu.two_level_search(start, search.budget, search.ws, search.params, search.rng, {}, choose, harvest)
+    harvest(end)
+    return front, found
