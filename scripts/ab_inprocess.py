@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time ``pareto.solve`` of a parent revision against this tree in one process.
+"""Time ``pareto.solve`` and setup of a parent revision against this tree in one process.
 
 Checks PARENT_REV out into a temporary git worktree and imports its
 ``backhaul_planner`` package as ``backhaul_planner_parent``, next to this
@@ -7,11 +7,14 @@ tree's own ``backhaul_planner`` (from ``src/``, committed or not). Generates
 the instances of a benchmark workload for one seed as ``bench/run.py`` does
 (``gen`` through this tree's command line), then derives each instance's
 tables and settings once per side, with the workload's ``gen`` and ``config``
-read from ``bench/workload.py``. Each rep solves every instance once per side;
-the side that goes first alternates. Every solve's front and bounds must equal
-the other side's by ``float.hex``. Prints the median seconds of a rep per
-side, the median of the per-rep ratios (this tree / parent) and how many reps
-this tree won.
+read from ``bench/workload.py``. Each rep first times every side's setup, the
+``gen`` + ``derive`` of every instance through that side's own command line
+(the benchmark's ``setup_s`` work), then solves every instance once per side;
+the side that goes first alternates. The scenario and sidecar bytes of the
+two setups must be equal, and every solve's front and bounds must equal the
+other side's by ``float.hex``. Prints, for the solves and for the setups, the
+median seconds of a rep per side, the median of the per-rep ratios (this
+tree / parent) and how many reps this tree won.
 
 Both trees share one process, so the drift between processes that a pair of
 ``bench/run.py`` runs sees does not enter the ratio.
@@ -59,16 +62,31 @@ class Side:
     """One tree's planner with its own scenario, tables and settings per instance."""
 
     def __init__(self, name: str, scenario_paths: list[Path], configs: list[dict], seeds: list[int]):
+        self.name = name
         self.scenario = importlib.import_module(f"{name}.scenario")
         self.pareto = importlib.import_module(f"{name}.pareto")
-        cli = importlib.import_module(f"{name}.cli")
+        self.cli = importlib.import_module(f"{name}.cli")
         self.instances = []
         for path, config, seed in zip(scenario_paths, configs, seeds):
             sc = self.scenario.load_scenario(path)
             args = SimpleNamespace(seed=seed, theta=None, delta_c=None, delta_eps=None, restrict=None,
                                    max_iterations=None)
-            self.instances.append((sc, self.scenario.derive_tables(sc), cli._solve_params(args, config)))
+            self.instances.append((sc, self.scenario.derive_tables(sc), self.cli._solve_params(args, config)))
         self.times: list[float] = []
+        self.setup_times: list[float] = []
+
+    def setup(self, gens: list[list[str]], work: Path) -> list[bytes]:
+        """``gen`` + ``derive`` of every instance through this side's command
+        line, into ``work``; returns every scenario's and sidecar's bytes."""
+        work.mkdir(parents=True, exist_ok=True)
+        paths = [work / f"scenario{i}.json" for i in range(len(gens))]
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(sys.stderr):
+            for gen, path in zip(gens, paths):
+                if self.cli.main([*gen, "--out", str(path)]) != 0 or self.cli.main(["derive", str(path)]) != 0:
+                    raise SystemExit(f"{self.name}: gen or derive failed for {path.name}")
+        self.setup_times.append(time.perf_counter() - start)
+        return [Path(f).read_bytes() for path in paths for f in (path, f"{path}.tables.json")]
 
     def rep(self) -> list:
         """Solves every instance once; returns the fronts and bounds by float.hex."""
@@ -83,6 +101,13 @@ class Side:
             ))
         self.times.append(time.perf_counter() - start)
         return out
+
+
+def summary(label: str, parent: list[float], change: list[float]) -> None:
+    ratios = [c / p for p, c in zip(parent, change)]
+    print(f"  {label}: parent median {statistics.median(parent):.4f} s, change median {statistics.median(change):.4f} s, "
+          f"ratio median {statistics.median(ratios):.3f} (change / parent), change wins {sum(r < 1 for r in ratios)} "
+          f"of {len(ratios)}")
 
 
 def main(argv=None) -> int:
@@ -102,39 +127,41 @@ def main(argv=None) -> int:
         tree = Path(tmp, "parent")
         git("worktree", "add", "--detach", str(tree), git("rev-parse", args.parent))
         try:
-            paths = []
+            gens, paths = [], []
             for i, (gen, seed) in enumerate(zip(workload.gen, seeds)):
                 config = Path(tmp, f"gen{i}.json")
                 config.write_text(json.dumps({"gen": gen}))
-                paths.append(Path(tmp, f"scenario{i}.json"))
                 preset = ["--preset", workload.preset] if workload.preset else []
+                gens.append(["gen", *preset, "--config", str(config), "--seed", str(seed)])
+                paths.append(Path(tmp, f"scenario{i}.json"))
                 with contextlib.redirect_stdout(sys.stderr):
-                    if cli.main(["gen", *preset, "--config", str(config), "--seed", str(seed),
-                                 "--out", str(paths[-1])]) != 0:
+                    if cli.main([*gens[-1], "--out", str(paths[-1])]) != 0:
                         raise SystemExit(f"gen failed for instance {i}")
             load_package(tree / "src", "backhaul_planner_parent")
             configs = [workload.config] * k
             sides = {"parent": Side("backhaul_planner_parent", paths, configs, seeds),
                      "change": Side("backhaul_planner", paths, configs, seeds)}
+
+            for rep in range(args.reps):
+                order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
+                written = {side: sides[side].setup(gens, Path(tmp, side)) for side in order}
+                if written["parent"] != written["change"]:
+                    print(f"rep {rep}: the scenario or sidecar bytes differ", file=sys.stderr)
+                    return 1
+                results = {side: sides[side].rep() for side in order}
+                if results["parent"] != results["change"]:
+                    print(f"rep {rep}: the fronts or bounds differ", file=sys.stderr)
+                    return 1
+                print(f"rep {rep}: solve parent {sides['parent'].times[-1]:.4f} s, change "
+                      f"{sides['change'].times[-1]:.4f} s; setup parent {sides['parent'].setup_times[-1]:.4f} s, "
+                      f"change {sides['change'].setup_times[-1]:.4f} s", file=sys.stderr)
         finally:
             git("worktree", "remove", "--force", str(tree))
 
-    for rep in range(args.reps):
-        order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
-        results = {side: sides[side].rep() for side in order}
-        if results["parent"] != results["change"]:
-            print(f"rep {rep}: the fronts or bounds differ", file=sys.stderr)
-            return 1
-        print(f"rep {rep}: parent {sides['parent'].times[-1]:.4f} s, change {sides['change'].times[-1]:.4f} s",
-              file=sys.stderr)
-
-    parent, change = sides["parent"].times, sides["change"].times
-    ratios = [c / p for p, c in zip(parent, change)]
-    print(f"{args.workload}: {args.reps} reps, seed {args.seed}, fronts and bounds equal in every rep")
-    print(f"  parent median {statistics.median(parent):.4f} s")
-    print(f"  change median {statistics.median(change):.4f} s")
-    print(f"  ratio median  {statistics.median(ratios):.3f} (change / parent)")
-    print(f"  change wins   {sum(r < 1 for r in ratios)} of {args.reps}")
+    print(f"{args.workload}: {args.reps} reps, seed {args.seed}, "
+          "fronts, bounds, scenarios and sidecars equal in every rep")
+    summary("solve", sides["parent"].times, sides["change"].times)
+    summary("setup", sides["parent"].setup_times, sides["change"].setup_times)
     return 0
 
 

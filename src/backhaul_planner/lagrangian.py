@@ -23,6 +23,13 @@ rescan would compute, bit for bit. ``Move.sort_key`` totally orders distinct
 moves, and the step takes the table's least entry in that order, so it picks
 the move the full rescan picks. The scalar ``delta_attach_ban`` and
 ``_insert_delta`` stay as the reference the tests hold the table to.
+
+At all-zero multipliers the relaxed objective is plain weighted uncoverage
+(Fisher 1981), and the front search prices every deployment there. Then every
+coverage coefficient is exactly -1 and no splice drops coverage, so the table
+prices each move as ``-min(cap, avail)`` and skips the multiplier terms. That
+is the scalar delta for a move that covers something, and one of +-0 for one
+that covers nothing, which ties and sums the same.
 """
 
 from __future__ import annotations
@@ -118,6 +125,13 @@ class Workspace:
         self.limit_ban_sbs = np.asarray(tables.ban_sbs_limit, dtype=int).reshape(self.n_ban, self.n_sbs)
         self.limit_sbs_sbs = np.asarray(tables.sbs_sbs_limit, dtype=int).reshape(self.n_sbs, self.n_sbs)
         self.cap_ban_ma = tables.ban_ma_capacity
+        # the move table's float forms; every entry is a small integer, so
+        # their sums, minima and products are exact
+        self.reach_f = self.sbs_mask.astype(float)
+        # link limits out of BAN k (row k) and SBS u (row n_ban + u)
+        self.out_f = np.concatenate((self.limit_ban_sbs, self.limit_sbs_sbs)).astype(float)
+        # row u: every SBS's link limit into SBS u
+        self.into_sbs_f = np.ascontiguousarray(self.limit_sbs_sbs.T, dtype=float)
 
         rates = np.array([m.rate_bps for m in scenario.machines], dtype=float)
         self.machine_rates = rates
@@ -483,26 +497,36 @@ class _MoveTable:
 
     A step changes one chain's rows, at most one BAN's legality and the
     ``avail`` of some SBSs, so only that chain's terms are rewritten.
+
+    When every multiplier is zero (``plain``; -0.0 counts as zero), each
+    ``coeff`` is exactly -1.0 and ``coeff_old + lam = -1 < 0`` drops nothing,
+    so ``freed`` is 0 and ``base`` is +-0 or inf. A row then keeps only
+    ``cap`` and the legality in ``base`` (0 or inf), and is priced as
+    ``base - min(cap, avail)``. For a move covering r > 0 subareas both forms
+    give -r; for r = 0 they differ at most in the sign of a zero, which
+    compares equal in the tie order and leaves the summed value unchanged
+    (the running value starts as a difference, so it is never -0.0).
+    ``cap``, ``freed``, ``held`` and ``avail`` are floats holding small
+    integers, so their sums, minima and products are exact.
     """
 
     def __init__(self, state: PathState, bans: list[int], sbss: list[int]):
         ws = self.ws = state.ws
         self.state = state
         self.lam = np.asarray(state.lam, dtype=float)
+        self.plain = not self.lam.any()  # -0.0 counts as zero
         self.neg_lam = -self.lam
-        self.avail = np.count_nonzero(ws.sbs_mask & ~state.covered, axis=1)
+        self.avail = ws.reach_f @ ~state.covered
         self.gone = np.ones(ws.n_sbs, dtype=bool)  # closed or attached
         self.gone[sbss] = False
         # row i: how many of the subareas SBS i covers each column reaches
-        self.held = np.zeros((ws.n_sbs, ws.n_sbs), dtype=int)
-        # link limits out of BAN k (row k) and SBS u (row n_ban + u)
-        self.out = np.concatenate((ws.limit_ban_sbs, ws.limit_sbs_sbs))
+        self.held = np.zeros((ws.n_sbs, ws.n_sbs))
 
         rows = len(bans) + len(sbss) * ws.max_hops
         self.base = np.full((rows, ws.n_sbs), np.inf)
         self.coeff = np.zeros((rows, ws.n_sbs))
-        self.cap = np.zeros((rows, ws.n_sbs), dtype=int)
-        self.freed = np.zeros((rows, ws.n_sbs), dtype=int)
+        self.cap = np.zeros((rows, ws.n_sbs))
+        self.freed = np.zeros((rows, ws.n_sbs))
         # per row: kind, partner, and (node, drop mask) per node downstream
         self.label: list = [("ban", k, ()) for k in bans] + [None] * (rows - len(bans))
         # ties between the moves of one SBS: kind rank, then partner
@@ -513,26 +537,31 @@ class _MoveTable:
         self.block: dict[int, int] = {}  # id(chain) -> its first row
         self.used = n = len(bans)
 
-        self.cap[:n] = ws.limit_ban_sbs[bans]
+        self.cap[:n] = ws.out_f[bans]
         np.multiply(self.neg_lam, self.cap[:n], out=self.base[:n])
-        self.coeff[:n] = self.lam - 1.0
-        self.cap[:n, self.lam > 1] = 0
+        if not self.plain:
+            self.coeff[:n] = self.lam - 1.0
+            self.cap[:n, self.lam > 1] = 0
         np.copyto(self.base[:n], np.inf, where=self.gone)
         self.base[[r for r, k in enumerate(bans) if state.slots.get(k, 0) >= ws.scenario.ban_slots]] = np.inf
 
     def best(self) -> Optional[Move]:
         """The least move by ``Move.sort_key``, or None if none is legal."""
         n = self.used
-        r_new = np.minimum(self.cap[:n], self.avail + self.freed[:n])
-        dv = self.coeff[:n] * r_new
-        dv += self.base[:n]
-        low = dv.min(initial=np.inf)
+        if self.plain:
+            r_new = np.minimum(self.cap[:n], self.avail)
+            dv = self.base[:n] - r_new
+        else:
+            r_new = np.minimum(self.cap[:n], self.avail + self.freed[:n])
+            dv = self.coeff[:n] * r_new
+            dv += self.base[:n]
+        # ties: the least SBS (the first least column), then kind and partner
+        colmin = dv.min(axis=0)
+        i = int(colmin.argmin())
+        low = colmin[i]
         if low == np.inf:
             return None
-        # ties in (column, row) order: the first column is the least SBS
-        cols, rows = (dv.T == low).nonzero()
-        i = int(cols[0])
-        rows = rows[: cols.searchsorted(i, "right")]
+        rows = (dv[:, i] == low).nonzero()[0]
         r = int(rows[self.order[rows].argmin()])
         kind, partner, downstream = self.label[r]
         drops = tuple(u for u, drop in downstream if drop[i])
@@ -550,7 +579,7 @@ class _MoveTable:
         if move.drops:
             self.avail += self.held[list(move.drops)].sum(axis=0)
             self.held[list(move.drops)] = 0
-        self.held[i] = self.ws.sbs_mask[:, state.assigned[i]].sum(axis=1)
+        self.held[i] = self.ws.reach_f[:, state.assigned[i]].sum(axis=1)
         self.avail -= self.held[i]
         chain = state.chain_of[i]
         if move.kind == "ban":
@@ -562,22 +591,35 @@ class _MoveTable:
 
     def _price_chain(self, chain: Chain) -> None:
         """Rewrite the terms of the chain's rows; a full chain takes no SBS."""
-        ws, state, lam = self.ws, self.state, self.lam
+        ws = self.ws
         first = self.block[id(chain)]
         nodes = chain.nodes
         if len(nodes) >= ws.max_hops:
             self.base[first : first + ws.max_hops] = np.inf
             return
         rows = slice(first, first + len(nodes) + 1)
-        base, coeff, cap, freed = self.base[rows], self.coeff[rows], self.cap[rows], self.freed[rows]
         # slot s's parent is the anchor for s = 0, else node s - 1
-        self.out.take([chain.ban] + [ws.n_ban + u for u in nodes], axis=0, out=cap)
+        ws.out_f.take([chain.ban] + [ws.n_ban + u for u in nodes], axis=0, out=self.cap[rows])
+        if self.plain:
+            self.base[rows] = 0.0
+            downstream = []
+        else:
+            downstream = self._price_multipliers(chain, rows)
+        np.copyto(self.base[rows], np.inf, where=self.gone)
+        self.label[rows] = [("before", u, downstream[k:]) for k, u in enumerate(nodes)] + [("after", nodes[-1], ())]
+        self.order[rows] = [self.span + u for u in nodes] + [2 * self.span + nodes[-1]]
+
+    def _price_multipliers(self, chain: Chain, rows: slice) -> list:
+        """Write the multiplier terms of the chain's rows over their ``cap``:
+        ``base``, ``coeff`` and ``freed``; returns (node, drop mask) per node."""
+        state, lam = self.state, self.lam
+        base, coeff, cap, freed = self.base[rows], self.coeff[rows], self.cap[rows], self.freed[rows]
         np.multiply(self.neg_lam, cap, out=base)
         freed.fill(0)
         downstream = []
-        for k, u in enumerate(nodes):
+        for k, u in enumerate(chain.nodes):
             # before node k: its parent's limit to it falls to the new node's
-            base[k] += state.lam[u] * (cap[k, u] - ws.limit_sbs_sbs[:, u])
+            base[k] += state.lam[u] * (cap[k, u] - self.ws.into_sbs_f[u])
             # node k is downstream of slots 0..k
             coeff_old = chain.prefix[k] + state.lam[u] - 1.0
             r_u = state.r(u)
@@ -591,9 +633,7 @@ class _MoveTable:
         np.add.outer(chain.prefix, lam, out=coeff)
         coeff -= 1.0
         cap[coeff > 0] = 0
-        np.copyto(base, np.inf, where=self.gone)
-        self.label[rows] = [("before", u, downstream[k:]) for k, u in enumerate(nodes)] + [("after", nodes[-1], ())]
-        self.order[rows] = [self.span + u for u in nodes] + [2 * self.span + nodes[-1]]
+        return downstream
 
 
 def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> AssignResult:

@@ -295,15 +295,15 @@ def check_feasibility(
     for m, j in plan.machine_cover.items():
         per_ma.setdefault(j, []).append(m)
     delta = scenario.radio.compression_ratio
+    all_machines = scenario.machines
+    n_mach = len(all_machines)
     for j in sorted(per_ma):
         machines = per_ma[j]
         if len(machines) > tables.machine_limit:
             add(Violation("ma-machine-limit", (j,), f"ma {j} covers {len(machines)} > {tables.machine_limit} machines"))
         k = plan.ma_parent.get(j)
         if k is not None and 0 <= k < n_ban and 0 <= j < n_ma:
-            demand = sum(
-                scenario.machines[m].rate_bps for m in machines if 0 <= m < scenario.n_machines
-            ) * delta
+            demand = sum(all_machines[m].rate_bps for m in machines if 0 <= m < n_mach) * delta
             capacity = tables.ban_ma_capacity[k][j]
             if demand > capacity + 1e-6:
                 add(Violation("ma-capacity", (j,), f"ma {j} aggregates {demand:.0f} bps > link capacity {capacity:.0f}"))

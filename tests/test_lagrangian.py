@@ -326,6 +326,37 @@ class TestIncrementalAssign:
         ):
             assert_same_as_reference(ws, everything, lam)
 
+    @pytest.mark.parametrize("case, plain", [("negative-zero", True), ("subnormal", False), ("one-large", False)])
+    def test_pricing_branch_boundary(self, monkeypatch, case, plain):
+        # all-zero multipliers (-0.0 included) price plain coverage; one
+        # positive multiplier, however small, takes the general path, and
+        # one of 1.5 makes the greedy drop downstream coverage
+        pricings, applied = [], []
+        real_apply = lagrangian.apply_move
+
+        class Recording(lagrangian._MoveTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                pricings.append(self.plain)
+
+        def spy(state, move):
+            applied.append(move)
+            real_apply(state, move)
+
+        monkeypatch.setattr(lagrangian, "_MoveTable", Recording)
+        monkeypatch.setattr(lagrangian, "apply_move", spy)
+        dense = generate_scenario(dataclasses.replace(preset_gen_params("paper-fig2"), n_sbs=30, n_ma=5), 0)
+        instances = [(dense, cached_tables(dense))] + [tiny_instance(seed, n_sbs=6, busy=True) for seed in range(10)]
+        for scenario, tables in instances:
+            n = len(scenario.sbs_sites)
+            lam = [-0.0 if case == "negative-zero" else 0.0] * n
+            lam[0] = {"negative-zero": -0.0, "subnormal": 5e-324, "one-large": 1.5}[case]
+            everything = Deployment.of(scenario, bans=range(len(scenario.ban_sites)), sbss=range(n),
+                                       mas=range(len(scenario.ma_sites)))
+            assert_same_as_reference(Workspace(scenario, tables, theta=THETA), everything, tuple(lam))
+        assert pricings == [plain] * len(instances)
+        assert any(m.drops for m in applied) == (case == "one-large")
+
 
 class TestMoveDeltas:
     def test_attach_at_zero_multiplier_is_minus_coverage(self):

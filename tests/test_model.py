@@ -292,6 +292,19 @@ class TestFeasibility:
         sol.plan.ma_parent[0] = 1
         assert "ma-capacity" in self.codes(sol, scenario, tables)
 
+    def test_missing_machine_left_out_of_an_over_capacity_sum(self, scenario, tables):
+        # machine 7 does not exist: it is reported as out of range and adds
+        # nothing to the 100 Mbps the two real machines send over ~63 Mbps
+        sol = chain_solution(scenario)
+        sol.deployment = Deployment.of(scenario, bans=[0, 1], sbss=[0, 1], mas=[0])
+        sol.plan.ma_parent[0] = 1
+        sol.plan.machine_cover[7] = 0
+        assert [(v.code, v.subject, v.detail) for v in check_feasibility(sol, scenario, tables)] == [
+            ("machine-distance", (0, 7), "machine 7 out of range of ma 0"),
+            ("ma-machine-limit", (0,), "ma 0 covers 3 > 2 machines"),
+            ("ma-capacity", (0,), "ma 0 aggregates 100000000 bps > link capacity 63297413"),
+        ]
+
     def test_routing_cycle_reported_not_raised(self, scenario, tables):
         sol = chain_solution(scenario)
         sol.plan.sbs_parent[0] = ("sbs", 1)
