@@ -41,6 +41,6 @@ from .lagrangian import (
 )
 from .tabu import SearchParams, initial_deployment, neighborhood, solve_relaxed
 from .pareto import BoundRecord, FrontEntry, SolveParams, SolveResult, gap_report, repair_solution, solve
-from .oracle import OracleLimitError, OracleLimits, exact_front, exact_relaxed_optimum
+from .oracle import OracleLimitError, exact_front, exact_relaxed_optimum
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -408,9 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_arg=True, sweep=False):
-        if scenario_arg:
-            p.add_argument("scenario", help="scenario JSON file")
+    def run_flags(p, sweep=False):
+        """The flags of the commands that take settings: gen, solve, oracle."""
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--config", default=None, help="JSON file with gen/solve/search overrides")
         p.add_argument("--out", default=None)
@@ -422,27 +421,30 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-iterations", dest="max_iterations", type=int, default=None)
 
     p = sub.add_parser("gen", help="generate a scenario file")
-    common(p, scenario_arg=False)
+    run_flags(p)
     p.add_argument("--preset", default=None, choices=["paper-fig2"])
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("derive", help="write a scenario's tables to a sidecar for inspection; no command reads it")
-    common(p)
+    p.add_argument("scenario", help="scenario JSON file")
+    p.add_argument("--out", default=None, help="sidecar path (default: <scenario>.tables.json)")
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("solve", help="run the budget sweep")
-    common(p, sweep=True)
+    p.add_argument("scenario", help="scenario JSON file")
+    run_flags(p, sweep=True)
     p.add_argument("--trace", action="store_true", help="write the multiplier trace CSV")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="check a solution file against a scenario")
-    common(p)
+    p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("solution", help="solution JSON file")
     p.add_argument("--budget", type=float, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle", help="exact front for a tiny scenario plus a diff vs the solver")
-    common(p, sweep=True)
+    p.add_argument("scenario", help="scenario JSON file")
+    run_flags(p, sweep=True)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("report", help="gap table and plot data from solve outputs")

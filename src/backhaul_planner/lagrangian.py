@@ -51,16 +51,6 @@ def zero_multipliers(scenario: Scenario) -> Multipliers:
     return (0.0,) * len(scenario.sbs_sites)
 
 
-@dataclass
-class RelaxedValue:
-    """Relaxed objective with its per-node decomposition."""
-
-    value: float
-    ban_terms: dict[int, float]
-    sbs_terms: dict[int, float]
-    covered_machines: int
-
-
 # ---------------------------------------------------------------------------
 # workspace: numpy adapters + memo caches shared by one solve
 # ---------------------------------------------------------------------------
@@ -74,7 +64,7 @@ class Workspace:
     ``restrict`` is one of ``RESTRICTIONS``: "fiber-only" opens anchors only
     (no SBS or MA sites), "single-hop" forbids relaying. The restriction
     decides which sites a search level may open (``sites``), and with
-    ``site_cost`` and ``deployable_cost`` what they cost.
+    ``site_cost`` what they cost.
     """
 
     def __init__(
@@ -108,9 +98,6 @@ class Workspace:
             "ban": [site for site in self.site_cost if site[0] == "ban"],
             "station": [site for site in self.site_cost if site[0] != "ban"],
         }
-        # the sweep's first budget; each role is summed on its own from 0, then
-        # the role totals are added in the order bans, SBSs, MAs
-        self.deployable_cost = sum(sum(s.cost for s in g) for g in groups.values())
 
         self.ban_sub = np.asarray(tables.ban_subarea_m, dtype=float).reshape(self.n_ban, self.n_sub)
         self.sbs_reach_sets = [frozenset(r) for r in tables.sbs_reach]
@@ -190,7 +177,6 @@ class AnchorPhase:
     ma_parent: dict[int, int]
     machine_cover: dict[int, int]
     slots: dict[int, int]
-    stranded_mas: tuple[int, ...]
 
 
 def _anchor_phase(ws: Workspace, deployment: Deployment) -> AnchorPhase:
@@ -215,16 +201,12 @@ def _anchor_phase(ws: Workspace, deployment: Deployment) -> AnchorPhase:
     slots = {k: 0 for k in open_bans}
     ma_parent: dict[int, int] = {}
     machine_cover: dict[int, int] = {}
-    stranded: list[int] = []
     waiting = open_mas if ws.allow_stations else []
     free = [k for k in open_bans if scenario.ban_slots > 0]
     mach_covered = np.zeros(ws.n_mach, dtype=bool)
     delta = scenario.radio.compression_ratio
 
-    while waiting:
-        if not free:
-            stranded.extend(waiting)
-            break
+    while waiting and free:
         best = None
         picks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for j in waiting:
@@ -255,7 +237,7 @@ def _anchor_phase(ws: Workspace, deployment: Deployment) -> AnchorPhase:
         if slots[k0] >= scenario.ban_slots:
             free.remove(k0)
 
-    result = AnchorPhase(ban_cover, covered, ma_parent, machine_cover, slots, tuple(stranded))
+    result = AnchorPhase(ban_cover, covered, ma_parent, machine_cover, slots)
     ws._anchor_cache[key] = result
     return result
 
@@ -470,8 +452,6 @@ def apply_move(state: PathState, move: Move) -> None:
 class AssignResult:
     plan: ConnectionPlan
     value: float
-    stranded_sbss: tuple[int, ...]
-    stranded_mas: tuple[int, ...]
 
 
 class _MoveTable:
@@ -670,7 +650,7 @@ def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> 
         ma_parent=dict(anchor.ma_parent),
         machine_cover=dict(anchor.machine_cover),
     )
-    return AssignResult(plan, value, tuple(sorted(unattached)), anchor.stranded_mas)
+    return AssignResult(plan, value)
 
 
 def assign_connections(
@@ -699,37 +679,31 @@ def relaxed_objective(
     theta: float,
     scenario: Scenario,
     tables: DerivedTables,
-) -> RelaxedValue:
+) -> float:
     """Relaxed objective of an arbitrary structurally-valid solution (any
     backhaul forest, not only chains)."""
     plan = solution.plan
-    ban_terms: dict[int, float] = {}
-    for subarea, k in plan.ban_cover.items():
-        ban_terms[k] = ban_terms.get(k, 0.0) + 1.0
-
     r: dict[int, int] = {i: 0 for i in plan.sbs_parent}
     for subarea, i in plan.sbs_cover.items():
         if i not in r:
             raise IntegrityError(f"sbs {i} covers subarea {subarea} without a backhaul link")
         r[i] += 1
 
-    sbs_terms: dict[int, float] = {}
+    sbs_terms = 0.0
     for i in plan.sbs_parent:
         path = root_path(plan, i)
         prefix = sum(multipliers[idx] for kind, idx in path[1:-1] if kind == "sbs")
         lam_i = multipliers[i]
         limit = tables.sbs_limit(plan.sbs_parent[i], i)
-        sbs_terms[i] = (prefix + lam_i - 1.0) * r[i] - lam_i * limit
+        sbs_terms += (prefix + lam_i - 1.0) * r[i] - lam_i * limit
 
-    covered_machines = len(plan.machine_cover)
-    value = (
+    return (
         scenario.n_subareas
         + theta * scenario.n_machines
-        - sum(ban_terms.values())
-        + sum(sbs_terms.values())
-        - theta * covered_machines
+        - len(plan.ban_cover)
+        + sbs_terms
+        - theta * len(plan.machine_cover)
     )
-    return RelaxedValue(value, ban_terms, sbs_terms, covered_machines)
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,13 @@ class OracleLimitError(RuntimeError):
     """The instance is too large (or otherwise unsupported) to enumerate."""
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_ban_sites: int = 3
-    max_sbs_sites: int = 5
-    max_ma_sites: int = 3
-    max_subareas: int = 25
-    max_machines: int = 30
-    max_states: int = 100_000_000
-
-
-DEFAULT_LIMITS = OracleLimits()
+# the largest instance the enumerator takes, and the work it may do on one
+MAX_BAN_SITES = 3
+MAX_SBS_SITES = 5
+MAX_MA_SITES = 3
+MAX_SUBAREAS = 25
+MAX_MACHINES = 30
+MAX_STATES = 100_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +99,17 @@ class _Forest:
 
 
 class _Enumerator:
-    def __init__(self, scenario: Scenario, tables: DerivedTables, theta: float, limits: OracleLimits):
-        if len(scenario.ban_sites) > limits.max_ban_sites:
-            raise OracleLimitError(f"{len(scenario.ban_sites)} BAN sites exceed the limit {limits.max_ban_sites}")
-        if len(scenario.sbs_sites) > limits.max_sbs_sites:
-            raise OracleLimitError(f"{len(scenario.sbs_sites)} SBS sites exceed the limit {limits.max_sbs_sites}")
-        if len(scenario.ma_sites) > limits.max_ma_sites:
-            raise OracleLimitError(f"{len(scenario.ma_sites)} MA sites exceed the limit {limits.max_ma_sites}")
-        if scenario.n_subareas > limits.max_subareas:
-            raise OracleLimitError(f"{scenario.n_subareas} subareas exceed the limit {limits.max_subareas}")
-        if scenario.n_machines > limits.max_machines:
-            raise OracleLimitError(f"{scenario.n_machines} machines exceed the limit {limits.max_machines}")
+    def __init__(self, scenario: Scenario, tables: DerivedTables, theta: float):
+        if len(scenario.ban_sites) > MAX_BAN_SITES:
+            raise OracleLimitError(f"{len(scenario.ban_sites)} BAN sites exceed the limit {MAX_BAN_SITES}")
+        if len(scenario.sbs_sites) > MAX_SBS_SITES:
+            raise OracleLimitError(f"{len(scenario.sbs_sites)} SBS sites exceed the limit {MAX_SBS_SITES}")
+        if len(scenario.ma_sites) > MAX_MA_SITES:
+            raise OracleLimitError(f"{len(scenario.ma_sites)} MA sites exceed the limit {MAX_MA_SITES}")
+        if scenario.n_subareas > MAX_SUBAREAS:
+            raise OracleLimitError(f"{scenario.n_subareas} subareas exceed the limit {MAX_SUBAREAS}")
+        if scenario.n_machines > MAX_MACHINES:
+            raise OracleLimitError(f"{scenario.n_machines} machines exceed the limit {MAX_MACHINES}")
         rates = {m.rate_bps for m in scenario.machines}
         if len(rates) > 1:
             raise OracleLimitError("enumeration requires a uniform machine rate")
@@ -121,13 +117,17 @@ class _Enumerator:
         self.scenario = scenario
         self.tables = tables
         self.theta = theta
-        self.limits = limits
         self.states = 0
         self.max_hops = scenario.max_relays + 1
 
         self.n_ban = len(scenario.ban_sites)
         self.n_sbs = len(scenario.sbs_sites)
         self.n_ma = len(scenario.ma_sites)
+        # every subset of each site list, smallest first
+        self.ban_sets, self.sbs_sets, self.ma_sets = (
+            list(itertools.chain.from_iterable(itertools.combinations(range(n), size) for size in range(n + 1)))
+            for n in (self.n_ban, self.n_sbs, self.n_ma)
+        )
         self.sbs_reach = [set(r) for r in tables.sbs_reach]
         self.ban_reach = [set(r) for r in tables.ban_reach]
         self.ma_reach = [tuple(r) for r in tables.ma_reach]
@@ -139,8 +139,8 @@ class _Enumerator:
 
     def _bump(self, n: int = 1) -> None:
         self.states += n
-        if self.states > self.limits.max_states:
-            raise OracleLimitError(f"state budget {self.limits.max_states} exhausted")
+        if self.states > MAX_STATES:
+            raise OracleLimitError(f"state budget {MAX_STATES} exhausted")
 
     # -- deployment pieces ----------------------------------------------------
 
@@ -314,18 +314,9 @@ class _Enumerator:
         sc = self.scenario
         theta = self.theta
         points: list[tuple[float, float]] = []
-        ban_sets = list(itertools.chain.from_iterable(
-            itertools.combinations(range(self.n_ban), n) for n in range(self.n_ban + 1)
-        ))
-        sbs_sets = list(itertools.chain.from_iterable(
-            itertools.combinations(range(self.n_sbs), n) for n in range(self.n_sbs + 1)
-        ))
-        ma_sets = list(itertools.chain.from_iterable(
-            itertools.combinations(range(self.n_ma), n) for n in range(self.n_ma + 1)
-        ))
-        for bans in ban_sets:
+        for bans in self.ban_sets:
             ban_cov = len(self._ban_covered(bans))
-            for sbss in sbs_sets:
+            for sbss in self.sbs_sets:
                 forests = self._forests(bans, sbss)
                 if sbss and not forests:
                     continue
@@ -334,7 +325,7 @@ class _Enumerator:
                     covered = ban_cov + self._coverage_flow(bans, forest)
                     coverage_options.append((forest.ban_children, float(sc.n_subareas - covered)))
                 coverage_options = _prune_pareto(coverage_options, lower_better=True)
-                for mas in ma_sets:
+                for mas in self.ma_sets:
                     ma_options = self._ma_options(bans, mas)
                     if mas and not ma_options:
                         continue
@@ -360,19 +351,10 @@ class _Enumerator:
         sub_cands = [
             [i for i in range(self.n_sbs) if s in self.sbs_reach[i]] for s in range(sc.n_subareas)
         ]
-        ban_sets = list(itertools.chain.from_iterable(
-            itertools.combinations(range(self.n_ban), n) for n in range(self.n_ban + 1)
-        ))
-        sbs_sets = list(itertools.chain.from_iterable(
-            itertools.combinations(range(self.n_sbs), n) for n in range(self.n_sbs + 1)
-        ))
-        ma_sets = list(itertools.chain.from_iterable(
-            itertools.combinations(range(self.n_ma), n) for n in range(self.n_ma + 1)
-        ))
         base = sc.n_subareas + theta * sc.n_machines
-        for bans in ban_sets:
+        for bans in self.ban_sets:
             ban_covered = self._ban_covered(bans)
-            for sbss in sbs_sets:
+            for sbss in self.sbs_sets:
                 forests = self._forests(bans, sbss)
                 if sbss and not forests:
                     continue
@@ -396,7 +378,7 @@ class _Enumerator:
                         gain += w
                     capacity_credit = sum(multipliers[i] * lim for i, lim in forest.limits)
                     forest_vals.append((forest.ban_children, -gain - capacity_credit))
-                for mas in ma_sets:
+                for mas in self.ma_sets:
                     cost = self._cost(bans, sbss, mas)
                     if cost > budget + TOLERANCE:
                         continue
@@ -426,11 +408,11 @@ def nondominated_points(points: list[tuple[float, float]]) -> list[tuple[float, 
 _enumerators: dict = {}
 
 
-def _enumerator(scenario: Scenario, tables: DerivedTables, theta: float, limits: OracleLimits) -> _Enumerator:
-    key = (scenario, theta, limits)
+def _enumerator(scenario: Scenario, tables: DerivedTables, theta: float) -> _Enumerator:
+    key = (scenario, theta)
     found = _enumerators.get(key)
     if found is None:
-        found = _Enumerator(scenario, tables, theta, limits)
+        found = _Enumerator(scenario, tables, theta)
         if len(_enumerators) > 64:
             _enumerators.clear()
         _enumerators[key] = found
@@ -438,29 +420,15 @@ def _enumerator(scenario: Scenario, tables: DerivedTables, theta: float, limits:
 
 
 def exact_front(
-    scenario: Scenario,
-    tables: DerivedTables,
-    theta: Optional[float] = None,
-    limits: OracleLimits = DEFAULT_LIMITS,
+    scenario: Scenario, tables: DerivedTables, theta: Optional[float] = None
 ) -> list[tuple[float, float]]:
     """The exact nondominated (cost, weighted-uncoverage) set."""
-    return _enumerator(scenario, tables, resolve_theta(scenario, theta), limits).front()
+    return _enumerator(scenario, tables, resolve_theta(scenario, theta)).front()
 
 
 def exact_relaxed_optimum(
-    scenario: Scenario,
-    tables: DerivedTables,
-    multipliers,
-    budget: float,
-    theta: Optional[float] = None,
-    limits: OracleLimits = DEFAULT_LIMITS,
+    scenario: Scenario, tables: DerivedTables, multipliers, budget: float, theta: Optional[float] = None
 ) -> float:
     """Exhaustive minimum of the relaxed objective within the cost budget."""
-    enumerator = _enumerator(scenario, tables, resolve_theta(scenario, theta), limits)
+    enumerator = _enumerator(scenario, tables, resolve_theta(scenario, theta))
     return enumerator.relaxed_optimum(tuple(multipliers), budget)
-
-
-def best_feasible_at(front: list[tuple[float, float]], budget: float) -> float:
-    """Best weighted-uncoverage among front points within the budget."""
-    vals = [fc for cost, fc in front if cost <= budget + TOLERANCE]
-    return min(vals) if vals else math.inf

@@ -292,7 +292,7 @@ def solve(
     ws = Workspace(scenario, tables, params.theta, params.restrict)
     theta = ws.theta
 
-    epsilon0 = ws.deployable_cost
+    epsilon0 = ws.deployment_cost(Deployment(frozenset(ws.site_cost)))  # every site the restriction allows
     window = params.delta_eps
     if window is None:
         site_costs = [s.cost for s in scenario.ban_sites + scenario.sbs_sites + scenario.ma_sites]

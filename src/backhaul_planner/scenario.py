@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import random
+import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
 from typing import Optional, Sequence
@@ -414,12 +415,16 @@ def backhaul_capacity_bps(radio: RadioConfig, distance_m: float, link: LinkSpec)
 
 def poisson_demand_exceeds(mean_users: float, capacity_bps: float, per_user_rate_bps: float) -> float:
     """P(total user demand > capacity) with a Poisson user count and a
-    constant per-user rate; exact tail summation."""
+    constant per-user rate; exact tail summation, up to the first term that
+    underflows."""
     if mean_users < 0:
         raise ValueError("mean_users must be nonnegative")
     if mean_users == 0:
         return 0.0
-    max_users = math.floor(capacity_bps / per_user_rate_bps + TOLERANCE)
+    try:
+        max_users = math.floor(capacity_bps / per_user_rate_bps + TOLERANCE)
+    except OverflowError:  # more users than a float counts; the loop below ends anyway
+        max_users = sys.maxsize
     if max_users < 0:
         return 1.0
     term = math.exp(-mean_users)
@@ -427,6 +432,10 @@ def poisson_demand_exceeds(mean_users: float, capacity_bps: float, per_user_rate
     for k in range(1, max_users + 1):
         term *= mean_users / k
         cdf += term
+        # a term of 0.0 (from a finite mean) leaves every later one 0.0, and
+        # a NaN one leaves cdf NaN; either way the rest changes nothing
+        if not term > 0.0:
+            break
     return max(0.0, 1.0 - cdf)
 
 

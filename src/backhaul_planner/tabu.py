@@ -15,9 +15,9 @@ with aspiration on strict incumbent improvement; the Pareto front search
 
 from __future__ import annotations
 
-import csv
 import random
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lagrangian import Multipliers, Workspace
@@ -55,20 +55,37 @@ class SiteMove:
     sites: tuple[SiteKey, ...]
 
 
-@dataclass
 class TabuState:
-    """Expiry clock per touched site."""
+    """The sites a move may not touch: a marked site stays tabu for
+    ``tenure`` ticks of the clock. The clock never decreases and the tenure
+    is fixed, so marks expire in the order they were made."""
 
-    expiry: dict[SiteKey, int] = field(default_factory=dict)
+    def __init__(self, tenure: int):
+        self.tenure = tenure
+        self.expiry: dict[SiteKey, int] = {}  # the tabu sites, each with its last mark's expiry
+        self._marks: deque[tuple[int, SiteKey]] = deque()  # (expiry, site) in mark order
+        tabu = self.expiry.keys()
+        self._is_tabu = lambda move: not tabu.isdisjoint(move.sites)
 
     def test(self, clock: int) -> Callable[[SiteMove], bool]:
-        """One step's test: a move is tabu if a site of it expires after ``clock``."""
-        active = frozenset(site for site, end in self.expiry.items() if end > clock)
-        return lambda move: not active.isdisjoint(move.sites)
+        """One step's test: a move is tabu if a site of it expires after
+        ``clock``. It reads the live state, so call it before the step's mark."""
+        marks, expiry = self._marks, self.expiry
+        while marks and marks[0][0] <= clock:
+            end, site = marks.popleft()
+            if expiry.get(site) == end:  # not marked again since
+                del expiry[site]
+        return self._is_tabu
 
-    def mark(self, move: SiteMove, clock: int, tenure: int) -> None:
+    def mark(self, move: SiteMove, clock: int) -> None:
+        end = clock + self.tenure
         for site in move.sites:
-            self.expiry[site] = clock + tenure
+            self.expiry[site] = end
+            self._marks.append((end, site))
+
+    def clear(self) -> None:
+        self.expiry.clear()
+        self._marks.clear()
 
 
 def apply_move(deployment: Deployment, move: SiteMove) -> Deployment:
@@ -183,7 +200,7 @@ def two_level_search(
     handed to every step at those sites, so ``choose`` must not mutate it;
     each list lives until the call returns, so ``choose`` may key work by its id.
     """
-    anchors, stations = TabuState(), TabuState()
+    anchors, stations = TabuState(params.tenure_ban), TabuState(params.tenure_station)
     built: dict[tuple[frozenset, str], list[tuple[SiteMove, Deployment]]] = {}
 
     def candidates_at(level: str) -> list[tuple[SiteMove, Deployment]]:
@@ -200,7 +217,7 @@ def two_level_search(
             n = choose(outer, -1, candidates, anchors.test(outer))
             if n is not None:
                 move, current = candidates[n]
-                anchors.mark(move, outer, params.tenure_ban)
+                anchors.mark(move, outer)
 
         for inner in range(params.n_inner):
             visit(current, outer, inner)
@@ -210,26 +227,13 @@ def two_level_search(
             n = choose(outer, inner, candidates, stations.test(station_clock))
             if n is None:
                 current = _diversify(current, ws, budget, frequency, params, rng)
-                stations.expiry.clear()
+                stations.clear()
                 diversified(current)
             else:
                 move, current = candidates[n]
-                stations.mark(move, station_clock, params.tenure_station)
+                stations.mark(move, station_clock)
             station_clock += 1
     return current
-
-
-TRACE_FIELDS = ["outer_iter", "inner_iter", "candidate_best", "incumbent", "move", "tabu_hits", "diversified"]
-
-
-def write_trace_csv(path, rows) -> None:
-    """Dump solve_relaxed trace rows (one per search iteration) to CSV."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        for outer, inner, best, incumbent, move, hits, diversified in rows:
-            label = "" if move is None else f"{move.action}:" + "+".join(f"{k}{i}" for k, i in move.sites)
-            writer.writerow([outer, inner, best, incumbent, label, hits, diversified])
 
 
 def solve_relaxed(

@@ -37,8 +37,7 @@ from backhaul_planner.lagrangian import (
     delta_insert_after,
     delta_insert_before,
 )
-from backhaul_planner.oracle import best_feasible_at
-from backhaul_planner.pareto import SolveParams, front_points, gap_report
+from backhaul_planner.pareto import SolveParams, best_within, front_points, gap_report
 from backhaul_planner.scenario import access_link, coverage_radius, poisson_demand_exceeds, save_scenario, subarea_capacity_limit
 from util import (
     mid_gen_params,
@@ -148,7 +147,7 @@ def test_criterion_3_weak_duality():
         scenario, tables = tiny_instance(3100 + seed)
         front = exact_front(scenario, tables, THETA)
         budget = scenario.total_cost() * rng.uniform(0.3, 1.0)
-        exact_best = best_feasible_at(front, budget)
+        exact_best = best_within(front, budget)
         for _ in range(100):
             lam = random_multipliers(rng, scenario)
             bound = exact_relaxed_optimum(scenario, tables, lam, budget, THETA)
@@ -188,9 +187,9 @@ def test_criterion_4_delta_consistency():
             if not moves:
                 continue
             move = rng.choice(moves)
-            before = relaxed_objective(state_solution(dep, state), lam, THETA, scenario, tables).value
+            before = relaxed_objective(state_solution(dep, state), lam, THETA, scenario, tables)
             apply_move(state, move)
-            after = relaxed_objective(state_solution(dep, state), lam, THETA, scenario, tables).value
+            after = relaxed_objective(state_solution(dep, state), lam, THETA, scenario, tables)
             err = abs((after - before) - move.delta)
             worst = max(worst, err)
             assert err <= 1e-9, (seed, move, err)
@@ -209,7 +208,7 @@ def test_criterion_5_zero_multiplier_identity():
     while checked < 1000:
         scenario, tables = tiny_instance(4000 + checked % 200)
         sol = random_solution(rng, scenario, tables)
-        value = relaxed_objective(sol, zero_multipliers(scenario), THETA, scenario, tables).value
+        value = relaxed_objective(sol, zero_multipliers(scenario), THETA, scenario, tables)
         assert value == objectives(sol, scenario, THETA).weighted_uncovered
         checked += 1
     note("criterion 5: 1000/1000 zero-multiplier identities exact")

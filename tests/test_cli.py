@@ -132,6 +132,18 @@ class TestDerive:
         data = json.loads(sidecar.read_text())
         assert "scenario_hash" in data and data["ban_sbs_limit"]
 
+    def test_a_tiny_per_user_rate_derives_promptly(self, workdir):
+        """The Poisson tail ends where its terms underflow, also when the
+        capacity holds more users than a float can count."""
+        data = json.loads(tiny_scenario_file(Path("scen.json")).read_text())
+        default = derive_tables(load_scenario("scen.json"))
+        data["radio"]["per_user_rate_bps"] = 1e-300
+        Path("slow.json").write_text(json.dumps(data))
+        assert main(["derive", "slow.json"]) == 0
+        tables = derive_tables(load_scenario("slow.json"))
+        for slow, fast in ((tables.ban_sbs_limit, default.ban_sbs_limit), (tables.sbs_sbs_limit, default.sbs_sbs_limit)):
+            assert all(a >= b for a_row, b_row in zip(slow, fast) for a, b in zip(a_row, b_row))
+
     def test_malformed_scenario_names_field(self, workdir, capsys):
         data = json.loads(tiny_scenario_file(Path("scen.json")).read_text())
         del data["n_b"]
@@ -557,17 +569,34 @@ class TestParser:
         sol = "b/" + max(front, key=lambda r: float(r["f1"]))["solution_file"]
         assert main(["check", str(scen), sol, "--budget", "0"]) == 1
         assert main(["check", str(scen), sol]) == 0
+        assert main(["derive", str(scen)]) == 0
 
         assert cli._build_parser() is parser
-        solve_a, report, solve_b, check_budget, check = parsed
+        solve_a, report, solve_b, check_budget, check, derive = parsed
         assert (solve_a["theta"], solve_a["restrict"], solve_a["trace"]) == (0.0, "single-hop", True)
         assert (solve_b["theta"], solve_b["restrict"], solve_b["delta_c"], solve_b["seed"]) == (None, None, None, None)
         assert solve_b["trace"] is False and solve_b["out"] == "b"
         assert set(report) == {"command", "func", "out"}
+        assert set(check) == {"command", "func", "scenario", "solution", "budget"}
+        assert set(derive) == {"command", "func", "scenario", "out"}
         assert check_budget["budget"] == 0.0 and check["budget"] is None
         manifest = json.loads(Path("b/manifest.json").read_text())["config"]["solve"]
         assert (manifest["theta"], manifest["restrict"], manifest["delta_c"]) == (None, "none", 1.0)
         assert not Path("b/multiplier_trace.csv").exists()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["derive", "s.json", "--seed", "1"],
+        ["derive", "s.json", "--config", "c.json"],
+        ["check", "s.json", "sol.json", "--seed", "1"],
+        ["check", "s.json", "sol.json", "--config", "c.json"],
+        ["check", "s.json", "sol.json", "--out", "o"],
+    ])
+    def test_flags_a_command_never_reads_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGoldenFront:

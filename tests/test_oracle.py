@@ -1,6 +1,5 @@
 """Exhaustive tiny-instance solvers: fronts, relaxed optima, weak duality."""
 
-import math
 import random
 
 import pytest
@@ -14,7 +13,8 @@ from backhaul_planner import (
     generate_scenario,
     zero_multipliers,
 )
-from backhaul_planner.oracle import OracleLimitError, best_feasible_at, nondominated_points
+from backhaul_planner.oracle import OracleLimitError, nondominated_points
+from backhaul_planner.pareto import best_within
 from backhaul_planner.scenario import derive_tables
 from util import TINY_RADIO, random_multipliers, tiny_instance
 
@@ -135,7 +135,7 @@ class TestExactRelaxedOptimum:
             front = exact_front(scenario, tables, THETA)
             budget = scenario.total_cost() * 0.6
             value = exact_relaxed_optimum(scenario, tables, zero_multipliers(scenario), budget, THETA)
-            assert value == pytest.approx(best_feasible_at(front, budget), abs=1e-9)
+            assert value == pytest.approx(best_within(front, budget), abs=1e-9)
 
     def test_weak_duality_sampled(self):
         rng = random.Random(51)
@@ -143,7 +143,7 @@ class TestExactRelaxedOptimum:
             scenario, tables = tiny_instance(800 + seed)
             front = exact_front(scenario, tables, THETA)
             budget = scenario.total_cost() * rng.uniform(0.3, 1.0)
-            exact_best = best_feasible_at(front, budget)
+            exact_best = best_within(front, budget)
             for _ in range(20):
                 lam = random_multipliers(rng, scenario)
                 bound = exact_relaxed_optimum(scenario, tables, lam, budget, THETA)
@@ -164,7 +164,8 @@ class TestHelpers:
         points = [(10.0, 5.0), (10.0, 7.0), (12.0, 5.0), (0.0, 9.0), (15.0, 1.0)]
         assert nondominated_points(points) == [(0.0, 9.0), (10.0, 5.0), (15.0, 1.0)]
 
-    def test_best_feasible_at(self):
+    def test_best_within(self):
         front = [(0.0, 9.0), (10.0, 5.0), (15.0, 1.0)]
-        assert best_feasible_at(front, 12.0) == 5.0
-        assert best_feasible_at(front, -1.0) == math.inf
+        assert best_within(front, 12.0) == 5.0
+        assert best_within(front, 10.0 - 1e-12) == 5.0  # within the tolerance
+        assert best_within(front, -1.0) is None

@@ -23,12 +23,12 @@ from backhaul_planner import (
     routing_flows,
     solve,
 )
-from backhaul_planner.oracle import best_feasible_at
 from backhaul_planner.pareto import (
     BoundRecord,
     FrontEntry,
     GapReport,
     SolveParams,
+    best_within,
     gap_report,
     merge_front,
     update_epsilon,
@@ -235,7 +235,7 @@ class TestSolve:
             points = [(e.objectives.cost, e.objectives.weighted_uncovered) for e in result.front]
             exact = exact_front(scenario, tables, THETA)
             for c, fc in points:
-                assert fc >= best_feasible_at(exact, c) - 1e-9  # never beats the oracle
+                assert fc >= best_within(exact, c) - 1e-9  # never beats the oracle
             if points == exact:
                 hits += 1
         assert hits >= 7

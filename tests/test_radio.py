@@ -214,6 +214,14 @@ class TestSubareaLimit:
         high = subarea_capacity_limit(RadioConfig(user_density_per_m2=hi), 100e6, 100.0, 200)
         assert high <= low
 
+    def test_tail_stops_at_an_underflowed_term_with_the_same_bits(self):
+        rate = 1e6
+        for mean in (1e-3, 0.52, 5.0, 60.0, 400.0, 700.0, 745.0, 746.0, 1e4, math.inf, math.nan):
+            for users in (0, 1, 7, 90, 1000, 4000):
+                exact = poisson_demand_exceeds(mean, users * rate, rate)
+                full = max(0.0, poisson_tail_oracle(mean, users))  # every term summed
+                assert exact.hex() == full.hex(), (mean, users)
+
     def test_exact_tail_matches_monte_carlo(self):
         rng = np.random.default_rng(20240817)
         mean, capacity, rate = 0.52, 100e6, 100e6

@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from backhaul_planner import (
     Deployment,
@@ -246,23 +246,6 @@ class TestSolveRelaxed:
             exact = exact_relaxed_optimum(scenario, tables, lam, budget, THETA)
             assert value >= exact - 1e-9
 
-    def test_trace_csv_round_trip(self, tmp_path):
-        import csv
-
-        from backhaul_planner.tabu import TRACE_FIELDS, write_trace_csv
-
-        scenario, tables = tiny_instance(77)
-        trace = []
-        solve_relaxed(
-            Workspace(scenario, tables, theta=THETA), zero_multipliers(scenario), scenario.total_cost(), FAST,
-            trace=trace,
-        )
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, trace)
-        rows = list(csv.DictReader(path.open()))
-        assert len(rows) == len(trace)
-        assert list(rows[0]) == TRACE_FIELDS
-
     @pytest.mark.parametrize("seed", [2000, 2001, 2003])
     def test_each_candidate_is_evaluated_once_per_search(self, monkeypatch, seed):
         """A revisited neighbourhood is ranked once: ``ws.evaluate`` sees each
@@ -315,18 +298,50 @@ class TestDiversify:
 
 
 SITE_KEYS = st.tuples(st.sampled_from(["ban", "sbs", "ma"]), st.integers(0, 3))
+MOVES = st.lists(SITE_KEYS, min_size=1, max_size=2, unique=True).map(
+    lambda sites: SiteMove("open" if len(sites) == 1 else "swap", tuple(sites))
+)
+# each step advances the clock by 0..2 ticks, then marks a move, clears the
+# memory or tests some moves
+STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.one_of(
+            st.tuples(st.just("mark"), MOVES),
+            st.tuples(st.just("clear"), st.none()),
+            st.tuples(st.just("test"), st.lists(MOVES, min_size=1, max_size=4)),
+        ),
+    ),
+    max_size=40,
+)
 
 
 class TestTabuTest:
-    @given(
-        st.dictionaries(SITE_KEYS, st.integers(0, 12)),
-        st.integers(0, 12),
-        st.lists(SITE_KEYS, min_size=1, max_size=2, unique=True),
-    )
-    def test_agrees_with_the_expiry_rule(self, expiry, clock, sites):
-        move = SiteMove("open" if len(sites) == 1 else "swap", tuple(sites))
-        expected = any(site in expiry and expiry[site] > clock for site in sites)
-        assert TabuState(dict(expiry)).test(clock)(move) == expected
+    @given(st.integers(0, 4), STEPS)
+    @example(0, [(0, ("mark", SiteMove("open", (("sbs", 1),)))), (0, ("test", [SiteMove("close", (("sbs", 1),))]))])
+    @example(3, [
+        (0, ("mark", SiteMove("open", (("sbs", 1),)))),
+        (2, ("mark", SiteMove("swap", (("sbs", 1), ("ma", 0))))),  # marked again while tabu
+        (2, ("test", [SiteMove("close", (("sbs", 1),))])),  # past the first mark's expiry
+        (1, ("test", [SiteMove("close", (("sbs", 1),)), SiteMove("close", (("ma", 0),))])),
+    ])
+    def test_agrees_with_the_expiry_rule(self, tenure, steps):
+        """Any mark/clear/test sequence on a clock that never decreases: a
+        move is tabu if a site of it was last marked at a clock whose expiry,
+        that clock plus the tenure, lies after the test's clock."""
+        state, expiry, clock = TabuState(tenure), {}, 0
+        for tick, (action, arg) in steps:
+            clock += tick
+            if action == "mark":
+                state.mark(arg, clock)
+                expiry.update(dict.fromkeys(arg.sites, clock + tenure))
+            elif action == "clear":
+                state.clear()
+                expiry.clear()
+            else:
+                is_tabu = state.test(clock)
+                for move in arg:
+                    assert is_tabu(move) == any(expiry.get(site, clock) > clock for site in move.sites)
 
 
 class TestNeighbourhoodMemo:

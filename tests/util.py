@@ -315,7 +315,7 @@ def reference_assign(ws, deployment, multipliers):
         ma_parent=dict(anchor.ma_parent),
         machine_cover=dict(anchor.machine_cover),
     )
-    return AssignResult(plan, value, tuple(sorted(unattached)), anchor.stranded_mas)
+    return AssignResult(plan, value)
 
 
 def reference_diversify(deployment, ws, budget, frequency, params, rng):
