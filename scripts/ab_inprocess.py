@@ -11,8 +11,9 @@ read from ``bench/workload.py``. Each rep first times every side's setup, the
 ``gen`` + ``derive`` of every instance through that side's own command line
 (the benchmark's ``setup_s`` work), then solves every instance once per side;
 the side that goes first alternates. The scenario and sidecar bytes of the
-two setups must be equal, and every solve's front and bounds must equal the
-other side's by ``float.hex``. Prints, for the solves and for the setups, the
+two setups must be equal, and every solve's front, bounds, budgets
+(``epsilons``) and ``multiplier_trace`` must equal the other side's by
+``float.hex``. Prints, for the solves and for the setups, the
 median seconds of a rep per side, the median of the per-rep ratios (this
 tree / parent) and how many reps this tree won.
 
@@ -89,7 +90,8 @@ class Side:
         return [Path(f).read_bytes() for path in paths for f in (path, f"{path}.tables.json")]
 
     def rep(self) -> list:
-        """Solves every instance once; returns the fronts and bounds by float.hex."""
+        """Solves every instance once; returns the fronts, bounds, budgets and
+        multiplier traces, every float by float.hex."""
         out = []
         start = time.perf_counter()
         for sc, tables, params in self.instances:
@@ -98,6 +100,8 @@ class Side:
                 [(float(e.objectives.cost).hex(), float(e.objectives.weighted_uncovered).hex(),
                   sorted(e.solution.deployment.sites)) for e in result.front],
                 [(float(b.epsilon).hex(), float(b.bound).hex()) for b in result.bounds],
+                [float(eps).hex() for eps in result.epsilons],
+                [[x.hex() if isinstance(x, float) else x for x in row] for row in result.multiplier_trace],
             ))
         self.times.append(time.perf_counter() - start)
         return out
@@ -150,7 +154,7 @@ def main(argv=None) -> int:
                     return 1
                 results = {side: sides[side].rep() for side in order}
                 if results["parent"] != results["change"]:
-                    print(f"rep {rep}: the fronts or bounds differ", file=sys.stderr)
+                    print(f"rep {rep}: the fronts, bounds, budgets or multiplier traces differ", file=sys.stderr)
                     return 1
                 print(f"rep {rep}: solve parent {sides['parent'].times[-1]:.4f} s, change "
                       f"{sides['change'].times[-1]:.4f} s; setup parent {sides['parent'].setup_times[-1]:.4f} s, "
@@ -158,8 +162,8 @@ def main(argv=None) -> int:
         finally:
             git("worktree", "remove", "--force", str(tree))
 
-    print(f"{args.workload}: {args.reps} reps, seed {args.seed}, "
-          "fronts, bounds, scenarios and sidecars equal in every rep")
+    print(f"{args.workload}: {args.reps} reps, seed {args.seed}, fronts, bounds, budgets, "
+          "multiplier traces, scenarios and sidecars equal in every rep")
     summary("solve", sides["parent"].times, sides["change"].times)
     summary("setup", sides["parent"].setup_times, sides["change"].setup_times)
     return 0

@@ -134,6 +134,7 @@ class Workspace:
         self._value_cache: dict = {}
         self._plan_cache: dict = {}
         self._cost_cache: dict = {}
+        self.relaxed_cache: dict = {}  # tabu.solve_relaxed's draw-free results
 
     def deployment_cost(self, deployment: Deployment) -> float:
         """Memoized ``model.cost`` of the deployment, keyed by its sites."""
@@ -160,9 +161,12 @@ class Workspace:
         return hit
 
     def clear_plans(self) -> None:
-        """Drop the memoized plans (the values stay); a sweep calls this per
-        budget, since a plan is reused within a budget and never across."""
+        """Drop the memoized plans and relaxed-search results (the values
+        stay). A sweep calls this per budget to bound its memory: most plan
+        reuse falls within one budget, and a relaxed result's key holds its
+        budget, which the sweep never returns to."""
         self._plan_cache.clear()
+        self.relaxed_cache.clear()
 
 
 # ---------------------------------------------------------------------------

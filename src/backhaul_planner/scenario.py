@@ -30,6 +30,10 @@ MIN_USABLE_SNR_DB = -20.0
 # Slack for comparing sums of costs, distances and rate ratios, so that
 # rounding in a sum never flips a comparison that holds exactly.
 TOLERANCE = 1e-9
+# Most subareas a scenario's grid may have: 62.5 times paper-fig2's 1,600.
+# The derived tables keep a distance per site and subarea: with paper-fig2's
+# 45 BAN and SBS sites, derive peaked at 218 MB for 99,225 subareas.
+MAX_GRID_CELLS = 100_000
 
 
 class ScenarioFormatError(ValueError):
@@ -239,6 +243,10 @@ class Scenario:
         _check_number("area.w", self.width, above=0)
         _check_number("area.h", self.height, above=0)
         _check_number("subarea_side", self.subarea_side, above=0)
+        # each side's quotient is bounded before math.ceil, which raises on inf
+        nx, ny = self.width / self.subarea_side, self.height / self.subarea_side
+        if not (nx <= MAX_GRID_CELLS and ny <= MAX_GRID_CELLS) or math.ceil(nx) * math.ceil(ny) > MAX_GRID_CELLS:
+            raise ScenarioFormatError("subarea_side", f"gives a grid of more than {MAX_GRID_CELLS} subareas")
         _check_number("n_b", self.ban_slots, integer=True, minimum=0)
         _check_number("n_relays", self.max_relays, integer=True, minimum=0)
         if not (self.ban_sites or self.sbs_sites or self.ma_sites):
@@ -421,6 +429,8 @@ def poisson_demand_exceeds(mean_users: float, capacity_bps: float, per_user_rate
         raise ValueError("mean_users must be nonnegative")
     if mean_users == 0:
         return 0.0
+    if mean_users == math.inf:  # the tail below would read 0.0 * inf = NaN
+        return 1.0
     try:
         max_users = math.floor(capacity_bps / per_user_rate_bps + TOLERANCE)
     except OverflowError:  # more users than a float counts; the loop below ends anyway

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .lagrangian import Multipliers, Workspace
@@ -244,7 +244,21 @@ def solve_relaxed(
     trace: Optional[list] = None,
 ) -> tuple[Solution, float]:
     """Best deployment found for the relaxed problem within the budget, with
-    its greedy connection plan and relaxed value."""
+    its greedy connection plan and relaxed value.
+
+    The seed enters the result only through ``_diversify``'s draws; the rest
+    is a pure function of the workspace, multipliers, budget and params. So
+    an untraced search that drew nothing is stored in the workspace (until
+    ``clear_plans``) under those with the seed zeroed, and serves a later
+    untraced call with that key under any seed. A traced call neither reads
+    nor stores, since its rows come from the search. The stored result is
+    shared, so no caller may mutate it.
+    """
+    key = (multipliers, budget, replace(params, seed=0))
+    if trace is None:
+        hit = ws.relaxed_cache.get(key)
+        if hit is not None:
+            return hit
     start = initial_deployment(ws, budget)
     incumbent, incumbent_value = start, ws.evaluate(start, multipliers)
     station_sites = frozenset(ws.sites["station"])
@@ -293,6 +307,11 @@ def solve_relaxed(
             incumbent, incumbent_value = dep, value
         record(*diversifying)
 
-    two_level_search(start, budget, ws, params, random.Random(params.seed), frequency, choose, visit, diversified)
+    rng = random.Random(params.seed)
+    fresh = rng.getstate()
+    two_level_search(start, budget, ws, params, rng, frequency, choose, visit, diversified)
     result = ws.build_plan(incumbent, multipliers)
-    return Solution(incumbent, result.plan), result.value
+    solved = Solution(incumbent, result.plan), result.value
+    if trace is None and rng.getstate() == fresh:  # no draw, so every seed gives this
+        ws.relaxed_cache[key] = solved
+    return solved

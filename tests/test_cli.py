@@ -144,6 +144,14 @@ class TestDerive:
         for slow, fast in ((tables.ban_sbs_limit, default.ban_sbs_limit), (tables.sbs_sbs_limit, default.sbs_sbs_limit)):
             assert all(a >= b for a_row, b_row in zip(slow, fast) for a, b in zip(a_row, b_row))
 
+    def test_a_grid_above_the_cap_exits_2(self, workdir, capsys):
+        data = json.loads(tiny_scenario_file(Path("scen.json")).read_text())
+        data["subarea_side"] = 1e-300
+        Path("fine.json").write_text(json.dumps(data))
+        assert main(["derive", "fine.json"]) == 2
+        err = capsys.readouterr().err
+        assert "subarea_side" in err and "Traceback" not in err
+
     def test_malformed_scenario_names_field(self, workdir, capsys):
         data = json.loads(tiny_scenario_file(Path("scen.json")).read_text())
         del data["n_b"]

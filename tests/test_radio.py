@@ -219,8 +219,14 @@ class TestSubareaLimit:
         for mean in (1e-3, 0.52, 5.0, 60.0, 400.0, 700.0, 745.0, 746.0, 1e4, math.inf, math.nan):
             for users in (0, 1, 7, 90, 1000, 4000):
                 exact = poisson_demand_exceeds(mean, users * rate, rate)
-                full = max(0.0, poisson_tail_oracle(mean, users))  # every term summed
+                # every term summed; an infinite mean's sum is NaN, and its tail is 1
+                full = 1.0 if mean == math.inf else max(0.0, poisson_tail_oracle(mean, users))
                 assert exact.hex() == full.hex(), (mean, users)
+
+    @pytest.mark.parametrize("capacity", [0.0, 1e6, 1e300])
+    def test_an_infinite_mean_always_exceeds(self, capacity):
+        """Demand from infinitely many expected users exceeds any capacity."""
+        assert poisson_demand_exceeds(math.inf, capacity, 1e6) == 1.0
 
     def test_exact_tail_matches_monte_carlo(self):
         rng = np.random.default_rng(20240817)

@@ -23,6 +23,7 @@ from backhaul_planner import (
     scenario_hash,
 )
 from backhaul_planner.scenario import (
+    MAX_GRID_CELLS,
     Machine,
     ScenarioFormatError,
     indented_json,
@@ -98,6 +99,24 @@ class TestGeneration:
         scenario = generate_scenario(GenParams(width=95, height=42, subarea_side=10, n_machines=0), 3)
         assert scenario.grid_shape == (10, 5)
         assert scenario.n_subareas == 50
+
+    @pytest.mark.parametrize("side", [1e-300, 1e-320])
+    def test_a_grid_above_the_cap_names_subarea_side(self, side):
+        scenario, _ = tiny_instance(21)
+        with pytest.raises(ScenarioFormatError, match="subarea_side"):
+            dataclasses.replace(scenario, subarea_side=side)
+
+    def test_the_cap_counts_whole_cells(self):
+        """316 x 316 cells fit under the cap of 100,000; a 316.5 m square
+        has 317 x 317, although 316.5 squared is below the cap."""
+        assert MAX_GRID_CELLS == 100_000
+        site = (Site(0.0, 0.0, 1.0),)
+        fits = Scenario(316, 316, RadioConfig(), site, (), (), (), subarea_side=1.0)
+        assert fits.n_subareas == 99_856
+        with pytest.raises(ScenarioFormatError, match="subarea_side"):
+            Scenario(316.5, 316.5, RadioConfig(), site, (), (), (), subarea_side=1.0)
+        with pytest.raises(ScenarioFormatError, match="subarea_side"):  # 1e6 x 1 cells
+            Scenario(1e6, 1e-6, RadioConfig(), site, (), (), (), subarea_side=1.0)
 
 
 # (field, value) -> the message's tail after "scenario field '<point>"
@@ -189,6 +208,17 @@ class TestDerivedTables:
         s2, t2 = tiny_instance(13)
         assert s1 == s2
         assert t1 == t2
+
+    def test_an_infinite_subarea_area_fits_no_link(self):
+        """A 1e200 m side gives one subarea of infinite area, so infinitely
+        many expected users: no live link can serve it."""
+        scenario, _ = tiny_instance(2000, n_ban=2, n_sbs=3)
+        huge = dataclasses.replace(scenario, subarea_side=1e200)
+        tables = derive_tables(huge)
+        assert huge.n_subareas == 1 and huge.subarea_area_m2 == math.inf
+        assert any(c > 0 for row in tables.ban_sbs_capacity + tables.sbs_sbs_capacity for c in row)
+        assert tables.ban_sbs_limit == ((0, 0, 0),) * 2
+        assert tables.sbs_sbs_limit == ((0, 0, 0),) * 3
 
     def test_self_links_disabled(self):
         _, tables = tiny_instance(14)
