@@ -354,7 +354,7 @@ def _read_columns(path: Path, parsers: dict) -> list[tuple]:
                     except (TypeError, ValueError):
                         raise CliError(f"{path} row {n}, column {column!r}: bad value {raw[column]!r}")
                 rows.append(tuple(row))
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise CliError(f"{path}: not a readable CSV file: {exc}")
     return rows
 
@@ -467,6 +467,9 @@ def main(argv=None) -> int:
         return EXIT_VIOLATION
     except ScenarioFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OSError as exc:  # every read names its own errors, so this is a write
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

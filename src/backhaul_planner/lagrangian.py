@@ -251,11 +251,11 @@ def _anchor_phase(ws: Workspace, deployment: Deployment) -> AnchorPhase:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Chain:
     """A relay chain below an anchor. ``prefix[k]`` is the sum of the
     multipliers of ``nodes[:k]``, added left to right; ``PathState`` rebuilds
-    it whenever the nodes change."""
+    it whenever the nodes change. Chains compare and hash by identity."""
 
     ban: int
     nodes: list[int] = field(default_factory=list)
@@ -518,7 +518,7 @@ class _MoveTable:
         self.order = np.zeros(rows, dtype=int)
         self.order[: len(bans)] = bans
         self.ban_row = {k: r for r, k in enumerate(bans)}
-        self.block: dict[int, int] = {}  # id(chain) -> its first row
+        self.block: dict[Chain, int] = {}  # chain -> its first row
         self.used = n = len(bans)
 
         self.cap[:n] = ws.out_f[bans]
@@ -567,7 +567,7 @@ class _MoveTable:
         self.avail -= self.held[i]
         chain = state.chain_of[i]
         if move.kind == "ban":
-            self.block[id(chain)] = self.used
+            self.block[chain] = self.used
             self.used += self.ws.max_hops
             if state.slots[move.partner] >= self.ws.scenario.ban_slots:
                 self.base[self.ban_row[move.partner]] = np.inf
@@ -576,7 +576,7 @@ class _MoveTable:
     def _price_chain(self, chain: Chain) -> None:
         """Rewrite the terms of the chain's rows; a full chain takes no SBS."""
         ws = self.ws
-        first = self.block[id(chain)]
+        first = self.block[chain]
         nodes = chain.nodes
         if len(nodes) >= ws.max_hops:
             self.base[first : first + ws.max_hops] = np.inf

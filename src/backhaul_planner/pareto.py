@@ -219,10 +219,6 @@ class _FrontSearch:
         # entries, so offering a result again in one run is a no-op: each
         # deployment is offered once
         offered: set = set()
-        # id of a candidate list -> [mark, entries, live]: its feasible
-        # candidates as (fc, cost, n, move, objectives) in ascending order,
-        # the qualifying ones, and len(found) when those were last tested
-        ranked: dict[int, list] = {}
 
         def add(dep: Deployment, res: tuple[Solution, ObjectiveVector]) -> None:
             nonlocal front
@@ -238,6 +234,11 @@ class _FrontSearch:
                 add(dep, res)
 
         def rank(candidates) -> list:
+            """Merge every in-window candidate that the front does not
+            dominate, and return [mark, entries, live, fresh]: the feasible
+            candidates as (fc, cost, n, move, objectives) in ascending order,
+            the merged ones, len(found) before the merges and True until the
+            first visit."""
             mark, entries, live, merges = len(found), [], [], []
             for n, (move, dep) in enumerate(candidates):
                 res = self.evaluate(dep)
@@ -252,23 +253,22 @@ class _FrontSearch:
                 add(dep, res)
             entries.sort()  # n is unique, so no move or objective is ever compared
             live.sort()
-            return [mark, entries, live]
+            return [mark, entries, live, True]
 
-        def choose(outer, inner, candidates, is_tabu):
-            """Merge every in-window nondominated candidate, then move to the
-            least (fc, cost, n) of them that is not tabu, or else of any
-            feasible candidate that is not tabu. A revisited list re-tests
-            only its candidates that still qualify, and only against the
-            entries found since its last visit: one that was not dominated
-            then is dominated now iff such an entry dominates it."""
-            ranking = ranked.get(id(candidates))
-            if ranking is None:
-                ranking = ranked[id(candidates)] = rank(candidates)
-            elif len(found) > ranking[0]:
-                since = found[ranking[0]:]
-                ranking[2] = [e for e in ranking[2] if not any(dominates(f.objectives, e[4]) for f in since)]
+        def choose(outer, inner, ranking, is_tabu):
+            """Move to the least (fc, cost, n) live candidate that is not
+            tabu, or else to such a feasible candidate. Each visit after the
+            first re-tests the live candidates, and only against the entries
+            found since the last test (the list's own merges included): one
+            that was not dominated then is dominated now iff such an entry
+            dominates it."""
+            mark, entries, live, fresh = ranking
+            if fresh:
+                ranking[3] = False
+            elif len(found) > mark:
+                since = found[mark:]
+                live = ranking[2] = [e for e in live if not any(dominates(f.objectives, e[4]) for f in since)]
                 ranking[0] = len(found)
-            _, entries, live = ranking
             for pool in (live, entries):
                 for entry in pool:
                     if not is_tabu(entry[3]):
@@ -277,7 +277,7 @@ class _FrontSearch:
 
         # the front search counts no site frequencies, so its diversification
         # opens the first closed station sites in (kind, index) order
-        end = tabu.two_level_search(start, self.budget, self.ws, self.params, self.rng, {}, choose, harvest)
+        end = tabu.two_level_search(start, self.budget, self.ws, self.params, self.rng, {}, rank, choose, harvest)
         harvest(end)
         return front, found
 

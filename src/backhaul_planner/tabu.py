@@ -7,10 +7,10 @@ candidate sites within the budget. Short-term memory is attribute-based
 re-opens rarely used station sites when a station step picks no move.
 
 ``two_level_search`` is the one search loop. Its two users differ only in
-how they score and pick a candidate: ``solve_relaxed`` prices each
-candidate through the greedy connection assignment under the multipliers,
-with aspiration on strict incumbent improvement; the Pareto front search
-(``pareto._FrontSearch``) ranks repaired feasible candidates.
+how they rank a neighbourhood and pick from that ranking: ``solve_relaxed``
+prices each candidate through the greedy connection assignment under the
+multipliers, with aspiration on strict incumbent improvement; the Pareto
+front search (``pareto._FrontSearch``) ranks repaired feasible candidates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .lagrangian import Multipliers, Workspace
 from .model import Deployment, SiteKey, Solution
@@ -181,6 +181,7 @@ def two_level_search(
     params: SearchParams,
     rng: random.Random,
     frequency: dict[SiteKey, int],
+    rank: Callable[[list[tuple[SiteMove, Deployment]]], Any],
     choose: Callable[..., Optional[int]],
     visit: Callable[[Deployment, int, int], None],
     diversified: Callable[[Deployment], None] = lambda dep: None,
@@ -188,43 +189,45 @@ def two_level_search(
     """Run the two-level search from ``start`` and return where it ends.
 
     Each outer iteration takes one anchor step, then up to ``n_inner``
-    station steps. A step calls ``visit(current, outer, inner)``, builds its
-    level's neighbourhood and lets ``choose(outer, inner, candidates,
-    is_tabu)`` return the index of the candidate to take, or None; ``inner``
-    is -1 at the anchor step. The taken move becomes tabu. A station step that
-    picks nothing diversifies (by ``frequency``), clears the station memory
-    and shows the result to ``diversified``. The anchor clock is the outer
-    index; an empty station neighbourhood ends the inner loop without
-    advancing the station clock. Each ``(sites, level)`` neighbourhood is
-    built once per call (the budget, ``n_swap`` and ``ws`` are fixed) and
-    handed to every step at those sites, so ``choose`` must not mutate it;
-    each list lives until the call returns, so ``choose`` may key work by its id.
+    station steps. A step calls ``visit(current, outer, inner)`` and takes
+    its level's neighbourhood, a list of ``(move, deployment)`` candidates;
+    ``choose(outer, inner, ranking, is_tabu)`` returns the index of the
+    candidate to take, or None; ``inner`` is -1 at the anchor step. The taken
+    move becomes tabu. A station step that picks nothing diversifies (by
+    ``frequency``), clears the station memory and shows the result to
+    ``diversified``. The anchor clock is the outer index; an empty station
+    neighbourhood ends the inner loop without advancing the station clock.
+    Each ``(sites, level)`` neighbourhood is built once per call (the budget,
+    ``n_swap`` and ``ws`` are fixed) and, unless empty, ranked once by
+    ``rank(candidates)``; every step at those sites hands that same ranking to
+    ``choose``, which may update it in place.
     """
     anchors, stations = TabuState(params.tenure_ban), TabuState(params.tenure_station)
-    built: dict[tuple[frozenset, str], list[tuple[SiteMove, Deployment]]] = {}
+    built: dict[tuple[frozenset, str], tuple[list[tuple[SiteMove, Deployment]], Any]] = {}
 
-    def candidates_at(level: str) -> list[tuple[SiteMove, Deployment]]:
+    def neighbourhood_at(level: str) -> tuple[list[tuple[SiteMove, Deployment]], Any]:
         if (current.sites, level) not in built:
-            built[current.sites, level] = neighborhood(current, level, budget, ws, params.n_swap)
+            candidates = neighborhood(current, level, budget, ws, params.n_swap)
+            built[current.sites, level] = candidates, rank(candidates) if candidates else None
         return built[current.sites, level]
 
     current = start
     station_clock = 0
     for outer in range(params.n_outer):
         visit(current, outer, -1)
-        candidates = candidates_at("ban")
+        candidates, ranking = neighbourhood_at("ban")
         if candidates:
-            n = choose(outer, -1, candidates, anchors.test(outer))
+            n = choose(outer, -1, ranking, anchors.test(outer))
             if n is not None:
                 move, current = candidates[n]
                 anchors.mark(move, outer)
 
         for inner in range(params.n_inner):
             visit(current, outer, inner)
-            candidates = candidates_at("station")
+            candidates, ranking = neighbourhood_at("station")
             if not candidates:
                 break
-            n = choose(outer, inner, candidates, stations.test(station_clock))
+            n = choose(outer, inner, ranking, stations.test(station_clock))
             if n is None:
                 current = _diversify(current, ws, budget, frequency, params, rng)
                 stations.clear()
@@ -241,77 +244,54 @@ def solve_relaxed(
     multipliers: Multipliers,
     budget: float,
     params: SearchParams,
-    trace: Optional[list] = None,
 ) -> tuple[Solution, float]:
     """Best deployment found for the relaxed problem within the budget, with
     its greedy connection plan and relaxed value.
 
     The seed enters the result only through ``_diversify``'s draws; the rest
-    is a pure function of the workspace, multipliers, budget and params. So
-    an untraced search that drew nothing is stored in the workspace (until
-    ``clear_plans``) under those with the seed zeroed, and serves a later
-    untraced call with that key under any seed. A traced call neither reads
-    nor stores, since its rows come from the search. The stored result is
-    shared, so no caller may mutate it.
+    is a pure function of the workspace, multipliers, budget and params. So a
+    search that drew nothing is stored in the workspace (until
+    ``clear_plans``) under those with the seed zeroed, and serves a later call
+    with that key under any seed. The stored result is shared, so no caller
+    may mutate it.
     """
     key = (multipliers, budget, replace(params, seed=0))
-    if trace is None:
-        hit = ws.relaxed_cache.get(key)
-        if hit is not None:
-            return hit
+    hit = ws.relaxed_cache.get(key)
+    if hit is not None:
+        return hit
     start = initial_deployment(ws, budget)
     incumbent, incumbent_value = start, ws.evaluate(start, multipliers)
     station_sites = frozenset(ws.sites["station"])
     frequency: dict[SiteKey, int] = {}
-    diversifying = None  # the trace row of a station step that picked nothing
-
-    def record(outer, inner, best_value, move, tabu_hits, diversified):
-        if trace is not None:
-            trace.append((outer, inner, best_value, incumbent_value, move, tabu_hits, diversified))
 
     def visit(dep: Deployment, outer: int, inner: int) -> None:
         if inner >= 0:
             for site in station_sites.intersection(dep.sites):
                 frequency[site] = frequency.get(site, 0) + 1
 
-    # (value, n, move, deployment) of each candidate list in ascending order,
-    # ranked once per search: the lists live in two_level_search's memo for
-    # the whole call, so their ids stay theirs
-    ranked: dict[int, list[tuple[float, int, SiteMove, Deployment]]] = {}
+    def rank(candidates) -> list[tuple[float, int, SiteMove, Deployment]]:
+        # n is unique, so no move or deployment is ever compared
+        return sorted((ws.evaluate(dep, multipliers), n, move, dep) for n, (move, dep) in enumerate(candidates))
 
-    def choose(outer, inner, candidates, is_tabu):
-        nonlocal incumbent, incumbent_value, diversifying
-        order = ranked.get(id(candidates))
-        if order is None:
-            order = sorted(
-                (ws.evaluate(dep, multipliers), n, move, dep) for n, (move, dep) in enumerate(candidates)
-            )  # n is unique, so no move or deployment is ever compared
-            ranked[id(candidates)] = order
-        best_value, _, _, best_dep = order[0]
-        tabu_hits = None if trace is None else sum(1 for move, _ in candidates if is_tabu(move))  # for the trace only
+    def choose(outer, inner, order, is_tabu):
+        nonlocal incumbent, incumbent_value
+        best_value, n, _, best_dep = order[0]
         if best_value < incumbent_value:  # aspiration: strict improvement overrides tabu
             incumbent, incumbent_value = best_dep, best_value
-            chosen = order[0]
-        else:
-            chosen = next((entry for entry in order if not is_tabu(entry[2])), None)
-        if chosen is None and inner >= 0:
-            diversifying = (outer, inner, best_value, None, tabu_hits, True)
-        else:
-            record(outer, inner, best_value, None if chosen is None else chosen[2], tabu_hits, False)
-        return None if chosen is None else chosen[1]
+            return n
+        return next((n for _, n, move, _ in order if not is_tabu(move)), None)
 
     def diversified(dep: Deployment) -> None:
         nonlocal incumbent, incumbent_value
         value = ws.evaluate(dep, multipliers)
         if value < incumbent_value:
             incumbent, incumbent_value = dep, value
-        record(*diversifying)
 
     rng = random.Random(params.seed)
     fresh = rng.getstate()
-    two_level_search(start, budget, ws, params, rng, frequency, choose, visit, diversified)
+    two_level_search(start, budget, ws, params, rng, frequency, rank, choose, visit, diversified)
     result = ws.build_plan(incumbent, multipliers)
     solved = Solution(incumbent, result.plan), result.value
-    if trace is None and rng.getstate() == fresh:  # no draw, so every seed gives this
+    if rng.getstate() == fresh:  # no draw, so every seed gives this
         ws.relaxed_cache[key] = solved
     return solved

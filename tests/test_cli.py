@@ -529,6 +529,13 @@ class TestReport:
         assert main(["report", "--out", "empty"]) == 2
         assert "bound" in capsys.readouterr().err
 
+    def test_unreadable_front_exits_2_naming_it(self, workdir, capsys):
+        Path("out/front.csv").mkdir(parents=True)
+        Path("out/bounds.csv").write_text("epsilon,bound,heuristic_bound\n")
+        assert main(["report", "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        assert "out/front.csv: not a readable CSV file" in err and "Traceback" not in err
+
     def test_non_numeric_cost_exits_2_naming_it(self, workdir, capsys):
         self.solved()
         front = Path("out/front.csv")
@@ -551,6 +558,34 @@ class TestReport:
         assert main(["report", "--out", "out"]) == 2
         err = capsys.readouterr().err
         assert "bounds.csv: no 'bound' column" in err and "Traceback" not in err
+
+
+def _unwritable(command: str) -> tuple[list[str], str]:
+    """Arguments that point ``command`` at an output it cannot write, and
+    the path its error should name."""
+    scen, cfg = str(tiny_scenario_file(Path("scen.json"))), write_config(Path("cfg.json"))
+    if command == "report":
+        assert main(["solve", scen, "--config", cfg, "--out", "out"]) == 0
+        Path("out/gap_table.csv").mkdir()
+        return ["report", "--out", "out"], "out/gap_table.csv"
+    if command == "derive":
+        Path("taken").mkdir()
+        return ["derive", scen, "--out", "taken"], "taken"
+    Path("taken").write_text("")
+    if command == "gen":
+        small = write_config(Path("gen.json"), {"gen": {"n_machines": 0, "n_ban": 1, "n_sbs": 1, "n_ma": 0}})
+        return ["gen", "--config", small, "--out", "taken/x.json"], "taken"
+    return [command, scen, "--config", cfg, "--out", "taken"], "taken"
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["gen", "derive", "solve", "oracle", "report"])
+    def test_exits_2_naming_the_path(self, workdir, capsys, command):
+        argv, named = _unwritable(command)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {named}: ") and "Traceback" not in err
 
 
 class TestParser:

@@ -507,10 +507,10 @@ class TestPlanMemo:
         handed: dict = {}
         n_handed = 0
 
-        def relaxed(ws, multipliers, eps, search, trace=None):
+        def relaxed(ws, multipliers, eps, search):
             nonlocal budget
             budget = eps
-            return real_relaxed(ws, multipliers, eps, search, trace)
+            return real_relaxed(ws, multipliers, eps, search)
 
         def assign(ws, deployment, multipliers):
             key = (budget, deployment.sites, multipliers)

@@ -146,19 +146,3 @@ class TestUse:
         for rng_seed in range(3):
             solve_relaxed(ws, zero_multipliers(scenario), 0.5 * scenario.total_cost(), SearchParams(seed=rng_seed))
         assert searches[0] == 3
-
-    def test_a_traced_call_neither_reads_nor_stores(self, searches):
-        scenario, tables = tiny_instance(2003)
-        ws = Workspace(scenario, tables)
-        zero, budget = zero_multipliers(scenario), scenario.total_cost()
-        first: list = []
-        traced = solve_relaxed(ws, zero, budget, SearchParams(seed=0), trace=first)
-        untraced = solve_relaxed(ws, zero, budget, SearchParams(seed=1))
-        assert searches[0] == 2  # the traced call stored nothing
-        assert solve_relaxed(ws, zero, budget, SearchParams(seed=2)) is untraced
-        assert searches[0] == 2
-        again: list = []
-        solve_relaxed(ws, zero, budget, SearchParams(seed=0), trace=again)
-        assert searches[0] == 3  # nor does it read
-        assert again == first and first
-        assert relaxed_rows(traced) == relaxed_rows(untraced)

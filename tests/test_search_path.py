@@ -1,12 +1,14 @@
 """The path of both tabu-search users, pinned by digest.
 
-For a few tiny instances this hashes every ``solve_relaxed`` trace row with
-the final value, and the front that ``pareto._FrontSearch.run`` harvests from
-the same budget. The digests were recorded when the relaxed solve and the
-front search still had a two-level loop each, so a change of move order, tabu
-clock or diversification fails here even where the end result survives.
-tiny_instance(2007) at its cheapest anchor's cost meets an empty anchor
-neighbourhood at outer steps 1 and 2, which pins the anchor clock rule;
+For a few tiny instances this hashes the path of ``solve_relaxed``'s search
+(every step that ``util.recorded_searches`` records) with the final value
+and plan, and the front that ``pareto._FrontSearch.run`` harvests from the
+same budget. The front digests were recorded when the relaxed solve and the
+front search still had a two-level loop each, and the relaxed digests when
+the relaxed search still ranked its lists in ``choose``, so a change of move
+order, tabu clock or diversification fails here even where the end result
+survives. tiny_instance(2007) at its cheapest anchor's cost meets an empty
+anchor neighbourhood at outer steps 1 and 2, which pins the anchor clock rule;
 tiny_instance(2009) at half the total cost pins the front search's
 diversification, which counts no site frequencies.
 """
@@ -21,7 +23,7 @@ from backhaul_planner import Solution, objectives
 from backhaul_planner.lagrangian import Workspace, zero_multipliers
 from backhaul_planner.pareto import FrontEntry, _FrontSearch
 from backhaul_planner.tabu import SearchParams, initial_deployment, solve_relaxed
-from util import random_multipliers, tiny_instance
+from util import random_multipliers, recorded_searches, tiny_instance
 
 THETA = 0.5
 GOLDEN = SearchParams(n_outer=6, n_inner=8, n_div=1, tenure_ban=2, tenure_station=3, seed=0)
@@ -30,32 +32,32 @@ WIDE = SearchParams(seed=4)  # the defaults: 10 x 12 steps, diversifies often on
 # (instance seed, budget, multiplier style, params) -> (relaxed digest, front digest)
 CASES = {
     (2007, "cheapest", "zero", GOLDEN): (
-        "30a4aedfd69c50eb0c145d7c73a2d36be3765b6b01190e2c52a674f6719e422b",
+        "49e97cad494de7cbc9e284e4a9807082bed4d17d9f9b9577fb602d7ca65f266f",
         "b5bb5276bc99c1f707179ada83e37fba188c7bc8b9b0e5a1af9cc7e8ce31cfbe",
     ),
     (2003, "cheapest", "mixed", WIDE): (
-        "30ef78204e77fb46179741d28269c45108d6087fa5a04694814387bc57a05b83",
+        "01e728bce5eb72507dc51a1c0c49f58db4db07466573b4a91ce8777b4057f79a",
         "7c625a4afb2cce8fae55c2ce3d74b1da0bd0708932e6da6ab3a5aa28eb5e5a79",
     ),
     (2000, "half", "mixed", GOLDEN): (
-        "4597b5da8cd365bd06f36027663fd67d1a078be9eea7f2c8f28de4ec72d6ce64",
+        "e942b706ffbd9e86cacd7ba78abac2d5576cea894682f30dda2c1540d231dcff",
         "302be24cca47279071a91bb2f6757d1322bf8f5d5faed9005712c0c5d4f077ce",
     ),
     (2002, "total", "small", WIDE): (
-        "0f702783db3a53987108d22b270f86175ec0531a7922d51f88b204b48752b77d",
+        "f82fcf3831d6e792b0014b6d1c3636a58aaba691171731b308da02a799b27c3e",
         "ec42ab7181af2ea1a0058fcd691ed5a187923755027117469a95b0e71fc3252f",
     ),
     (2005, "half", "zero", WIDE): (
-        "7e1eb3fa906edae234a7af62c48302e3fddde4e02c7e55ea70a1f9bf15d54a13",
+        "52bda98313fdba4a06cad61058979e88135b3cf3508d053229ca548e219e0aca",
         "bf4edb5c746afb4a0953ba30113cd6392717d4601ca230ecc08c74da54fe1b34",
     ),
     # the front search diversifies here, and it reads no site frequencies
     (2009, "half", "mixed", GOLDEN): (
-        "129c499f7fae16fe962fb7aed1751ba59bf5078c692e086f23efec7f93680850",
+        "2e984776bab2337ca7a781345c345a10a78273951d21be3ad09c93e46e48d22a",
         "39ac0ce1c5c00bbe95c7a98a38756c489e7b3a1a8be71766ed0fb7db532495c6",
     ),
     (2011, "total", "mixed", GOLDEN): (
-        "fad46405ea4424087318ded962c2f05fd4b65e069daab38c57c3f438b66e39c1",
+        "ee3a696e715fe925aa2d754f2f9e2ff104abbfd4216d9d4a4086773468a0b768",
         "722b6162346921348dc981b3cc71baa820ac4c2f2525d15af388b988341a2ad8",
     ),
 }
@@ -88,13 +90,10 @@ def search_digests(seed: int, which: str, style: str, params: SearchParams) -> t
     budget = _budget(scenario, which)
     multipliers = random_multipliers(random.Random(seed), scenario, style)
 
-    trace = []
-    solution, value = solve_relaxed(Workspace(scenario, tables, theta=THETA), multipliers, budget, params, trace=trace)
-    rows = [
-        [outer, inner, best.hex(), incumbent.hex(), move and [move.action, move.sites], hits, diversified]
-        for outer, inner, best, incumbent, move, hits, diversified in trace
-    ]
-    relaxed = _digest([rows, value.hex(), _plan(solution, scenario)])
+    with recorded_searches() as paths:
+        solution, value = solve_relaxed(Workspace(scenario, tables, theta=THETA), multipliers, budget, params)
+    (path,) = paths
+    relaxed = _digest([path, value.hex(), _plan(solution, scenario)])
 
     ws = Workspace(scenario, tables, theta=THETA)
     window = max(s.cost for s in scenario.ban_sites + scenario.sbs_sites + scenario.ma_sites)
@@ -115,8 +114,8 @@ def test_search_path_unchanged(case):
 
 def test_cheapest_budget_of_2007_has_two_empty_anchor_steps():
     scenario, tables = tiny_instance(2007)
-    trace = []
     ws = Workspace(scenario, tables, theta=THETA)
-    solve_relaxed(ws, zero_multipliers(scenario), _budget(scenario, "cheapest"), GOLDEN, trace=trace)
-    anchor_steps = {outer for outer, inner, *_ in trace if inner == -1}
+    with recorded_searches() as paths:
+        solve_relaxed(ws, zero_multipliers(scenario), _budget(scenario, "cheapest"), GOLDEN)
+    anchor_steps = {step[1] for step in paths[0] if step[0] == "choose" and step[2] == -1}
     assert sorted(set(range(GOLDEN.n_outer)) - anchor_steps) == [1, 2]

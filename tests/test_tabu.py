@@ -20,7 +20,7 @@ from backhaul_planner import (
 from backhaul_planner import tabu
 from backhaul_planner.lagrangian import Workspace
 from backhaul_planner.tabu import SiteMove, TabuState, two_level_search
-from util import random_deployment, random_multipliers, reference_diversify, tiny_instance
+from util import random_deployment, random_multipliers, recorded_searches, reference_diversify, stood_on, tiny_instance
 
 THETA = 0.5
 FAST = SearchParams(n_outer=4, n_inner=5, n_div=1, tenure_ban=2, tenure_station=3, seed=1)
@@ -162,12 +162,12 @@ class TestSolveRelaxed:
         scenario, tables = tiny_instance(72)
         budget = scenario.total_cost() * 0.7
         lam = zero_multipliers(scenario)
-        t1, t2 = [], []
-        a = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, FAST, trace=t1)
-        b = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, FAST, trace=t2)
+        with recorded_searches() as paths:
+            a = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, FAST)
+            b = solve_relaxed(Workspace(scenario, tables, theta=THETA), lam, budget, FAST)
         assert a[1] == b[1]
         assert a[0].deployment == b[0].deployment
-        assert t1 == t2
+        assert len(paths) == 2 and paths[0] == paths[1]
 
     def test_more_iterations_never_worse(self):
         scenario, tables = tiny_instance(73)
@@ -179,14 +179,15 @@ class TestSolveRelaxed:
         assert big[1] <= small[1] + 1e-9
 
     def test_incumbent_nonincreasing(self):
-        scenario, tables = tiny_instance(74)
-        trace = []
-        solve_relaxed(
-            Workspace(scenario, tables, theta=THETA), zero_multipliers(scenario), scenario.total_cost() * 0.7, FAST,
-            trace=trace,
-        )
-        incumbents = [row[3] for row in trace]
-        assert all(b <= a + 1e-12 for a, b in zip(incumbents, incumbents[1:]))
+        """The incumbent is the best deployment the search stood on: its
+        start, each visit, each diversification and its end."""
+        for seed in range(74, 78):
+            scenario, tables = tiny_instance(seed)
+            ws = Workspace(scenario, tables, theta=THETA)
+            lam = random_multipliers(random.Random(seed), scenario) if seed % 2 else zero_multipliers(scenario)
+            with recorded_searches() as paths:
+                _, value = solve_relaxed(ws, lam, scenario.total_cost() * 0.7, FAST)
+            assert value == min(ws.evaluate(dep, lam) for dep in stood_on(paths[0]))
 
     def test_every_candidate_within_budget(self):
         scenario, tables = tiny_instance(75)
@@ -214,12 +215,11 @@ class TestSolveRelaxed:
     def test_diversification_fires_and_stays_valid(self):
         scenario, tables = tiny_instance(76, n_ban=1, n_sbs=2, n_ma=0)
         params = SearchParams(n_outer=2, n_inner=8, n_div=1, tenure_ban=1, tenure_station=7, seed=3)
-        trace = []
-        sol, value = solve_relaxed(
-            Workspace(scenario, tables, theta=THETA), zero_multipliers(scenario), scenario.total_cost(), params,
-            trace=trace,
-        )
-        assert any(row[6] for row in trace)  # diversified at least once
+        with recorded_searches() as paths:
+            sol, value = solve_relaxed(
+                Workspace(scenario, tables, theta=THETA), zero_multipliers(scenario), scenario.total_cost(), params,
+            )
+        assert any(step[0] == "diversified" for step in paths[0])
         assert cost(sol.deployment, scenario) <= scenario.total_cost() + 1e-9
 
     def test_matches_exact_relaxed_optimum_on_tiny_instances(self):
@@ -265,10 +265,10 @@ class TestSolveRelaxed:
 
         monkeypatch.setattr(tabu, "neighborhood", recording)
         monkeypatch.setattr(ws, "evaluate", counting)
-        trace = []
-        solve_relaxed(ws, zero_multipliers(scenario), scenario.total_cost() / 2, SearchParams(seed=4), trace=trace)
+        with recorded_searches() as paths:
+            solve_relaxed(ws, zero_multipliers(scenario), scenario.total_cost() / 2, SearchParams(seed=4))
         calls = Counter(map(id, evaluated))
-        assert len(trace) > len(lists)  # the search revisited some lists
+        assert sum(step[0] == "choose" for step in paths[0]) > len(lists)  # the search revisited some lists
         assert all(calls[id(dep)] <= 1 for candidates in lists for _, dep in candidates)
 
 
@@ -377,8 +377,8 @@ class TestNeighbourhoodMemo:
 
         monkeypatch.setattr(tabu, "neighborhood", counting)
         start = initial_deployment(ws, budget)
-        end = two_level_search(start, budget, ws, SearchParams(seed=4), random.Random(4), {}, choose,
-                               lambda dep, *_: path.append(dep))
+        end = two_level_search(start, budget, ws, SearchParams(seed=4), random.Random(4), {},
+                               lambda candidates: candidates, choose, lambda dep, *_: path.append(dep))
         assert len(built) == len(set(built))
         assert set(steps) <= set(built) and len(steps) > len(built)
         assert sorted(end.sites) == self.UNMEMOIZED_ENDS[seed]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import inspect
 import math
 import random
 
@@ -383,6 +385,62 @@ def reference_front_run(search, start, front):
         pool = [key for key in allowed if key[3]] or allowed
         return min(pool)[2] if pool else None
 
-    end = tabu.two_level_search(start, search.budget, search.ws, search.params, search.rng, {}, choose, harvest)
+    end = tabu.two_level_search(
+        start, search.budget, search.ws, search.params, search.rng, {}, lambda candidates: candidates, choose, harvest
+    )
     harvest(end)
     return front, found
+
+
+@contextlib.contextmanager
+def recorded_searches():
+    """Record every ``tabu.two_level_search`` run inside the block.
+
+    Yields a list that gets one path per run: its steps in order, as
+    ``("visit", outer, inner, sites)``, ``("choose", outer, inner, n)`` with
+    what ``choose`` returned, ``("diversified", sites)`` and, last,
+    ``("end", sites)``, each ``sites`` a sorted list of site keys. Only the
+    ``choose``, ``visit`` and ``diversified`` callbacks are wrapped, found by
+    name, so the search runs as it would unrecorded.
+    """
+    from backhaul_planner import tabu
+
+    search, paths = tabu.two_level_search, []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(search).bind(*args, **kwargs)
+        bound.apply_defaults()
+        callbacks, path = dict(bound.arguments), []
+        paths.append(path)
+
+        def choose(outer, inner, *rest):
+            n = callbacks["choose"](outer, inner, *rest)
+            path.append(("choose", outer, inner, n))
+            return n
+
+        def visit(dep, outer, inner):
+            path.append(("visit", outer, inner, sorted(dep.sites)))
+            callbacks["visit"](dep, outer, inner)
+
+        def diversified(dep):
+            path.append(("diversified", sorted(dep.sites)))
+            callbacks["diversified"](dep)
+
+        bound.arguments.update(choose=choose, visit=visit, diversified=diversified)
+        end = search(*bound.args, **bound.kwargs)
+        path.append(("end", sorted(end.sites)))
+        return end
+
+    tabu.two_level_search = recording
+    try:
+        yield paths
+    finally:
+        tabu.two_level_search = search
+
+
+def stood_on(path) -> list:
+    """Every deployment a recorded search stood on: each visit (the first is
+    its start), each diversification and its end."""
+    from backhaul_planner import Deployment
+
+    return [Deployment(frozenset(step[-1])) for step in path if step[0] in ("visit", "diversified", "end")]
