@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time ``pareto.solve`` and setup of a parent revision against this tree in one process.
+"""Time a parent revision against this tree in one process: solves and setup.
 
-Checks PARENT_REV out into a temporary git worktree and imports its
+Exports PARENT_REV's committed files to a temporary directory and imports its
 ``backhaul_planner`` package as ``backhaul_planner_parent``, next to this
 tree's own ``backhaul_planner`` (from ``src/``, committed or not). Generates
 the instances of a benchmark workload for one seed as ``bench/run.py`` does
@@ -13,7 +13,11 @@ read from ``bench/workload.py``. Each rep first times every side's setup, the
 the side that goes first alternates. The scenario and sidecar bytes of the
 two setups must be equal, and every solve's front, bounds, budgets
 (``epsilons``) and ``multiplier_trace`` must equal the other side's by
-``float.hex``. Prints, for the solves and for the setups, the
+``float.hex``. With ``--cli`` each rep times, in place of ``pareto.solve``,
+every instance's whole ``solve`` command through that side's command line
+(reading the scenario, deriving the tables, solving and writing: the
+benchmark's ``solve_s`` work), and the two sides' ``front.csv`` and
+``bounds.csv`` must be byte-equal. Prints, for the solves and for the setups, the
 median seconds of a rep per side, the median of the per-rep ratios (this
 tree / parent) and how many reps this tree won.
 
@@ -21,7 +25,7 @@ Both trees share one process, so the drift between processes that a pair of
 ``bench/run.py`` runs sees does not enter the ratio.
 
 Usage:
-    python3 scripts/ab_inprocess.py PARENT_REV --workload tiny-search --reps 20 [--seed 0]
+    python3 scripts/ab_inprocess.py PARENT_REV --workload tiny-search --reps 20 [--seed 0] [--cli]
 """
 
 import argparse
@@ -29,6 +33,7 @@ import contextlib
 import importlib
 import importlib.util
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -46,6 +51,13 @@ from workload import WORKLOADS  # noqa: E402
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the committed files of ``rev`` to the new directory ``dest``."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def load_package(src: Path, name: str):
@@ -106,6 +118,20 @@ class Side:
         self.times.append(time.perf_counter() - start)
         return out
 
+    def cli_rep(self, solves: list[list[str]], work: Path) -> list[bytes]:
+        """Runs every instance's ``solve`` command into ``work``; returns every
+        ``front.csv`` and ``bounds.csv``'s bytes."""
+        outs = [work / f"out{i}" for i in range(len(solves))]
+        for out in outs:
+            shutil.rmtree(out, ignore_errors=True)
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(sys.stderr):
+            for solve, out in zip(solves, outs):
+                if self.cli.main([*solve, "--out", str(out)]) != 0:
+                    raise SystemExit(f"{self.name}: solve failed for {out.name}")
+        self.times.append(time.perf_counter() - start)
+        return [(out / name).read_bytes() for out in outs for name in ("front.csv", "bounds.csv")]
+
 
 def summary(label: str, parent: list[float], change: list[float]) -> None:
     ratios = [c / p for p, c in zip(parent, change)]
@@ -120,6 +146,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--reps", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--cli", action="store_true", help="time the whole solve command, not pareto.solve")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
@@ -128,43 +155,48 @@ def main(argv=None) -> int:
     k = len(workload.gen)
     seeds = [args.seed * k + i for i in range(k)]
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
-        tree = Path(tmp, "parent")
-        git("worktree", "add", "--detach", str(tree), git("rev-parse", args.parent))
-        try:
-            gens, paths = [], []
-            for i, (gen, seed) in enumerate(zip(workload.gen, seeds)):
-                config = Path(tmp, f"gen{i}.json")
-                config.write_text(json.dumps({"gen": gen}))
-                preset = ["--preset", workload.preset] if workload.preset else []
-                gens.append(["gen", *preset, "--config", str(config), "--seed", str(seed)])
-                paths.append(Path(tmp, f"scenario{i}.json"))
-                with contextlib.redirect_stdout(sys.stderr):
-                    if cli.main([*gens[-1], "--out", str(paths[-1])]) != 0:
-                        raise SystemExit(f"gen failed for instance {i}")
-            load_package(tree / "src", "backhaul_planner_parent")
-            configs = [workload.config] * k
-            sides = {"parent": Side("backhaul_planner_parent", paths, configs, seeds),
-                     "change": Side("backhaul_planner", paths, configs, seeds)}
+        tree = Path(tmp, "parent-tree")
+        export(git("rev-parse", args.parent), tree)
+        gens, paths = [], []
+        for i, (gen, seed) in enumerate(zip(workload.gen, seeds)):
+            config = Path(tmp, f"gen{i}.json")
+            config.write_text(json.dumps({"gen": gen}))
+            preset = ["--preset", workload.preset] if workload.preset else []
+            gens.append(["gen", *preset, "--config", str(config), "--seed", str(seed)])
+            paths.append(Path(tmp, f"scenario{i}.json"))
+            with contextlib.redirect_stdout(sys.stderr):
+                if cli.main([*gens[-1], "--out", str(paths[-1])]) != 0:
+                    raise SystemExit(f"gen failed for instance {i}")
+        load_package(tree / "src", "backhaul_planner_parent")
+        config = Path(tmp, "solve.json")
+        config.write_text(json.dumps(workload.config))
+        solves = [["solve", str(path), "--config", str(config), "--seed", str(seed)]
+                  for path, seed in zip(paths, seeds)]
+        configs = [workload.config] * k
+        sides = {"parent": Side("backhaul_planner_parent", paths, configs, seeds),
+                 "change": Side("backhaul_planner", paths, configs, seeds)}
 
-            for rep in range(args.reps):
-                order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
-                written = {side: sides[side].setup(gens, Path(tmp, side)) for side in order}
-                if written["parent"] != written["change"]:
-                    print(f"rep {rep}: the scenario or sidecar bytes differ", file=sys.stderr)
-                    return 1
+        for rep in range(args.reps):
+            order = ("parent", "change") if rep % 2 == 0 else ("change", "parent")
+            written = {side: sides[side].setup(gens, Path(tmp, side)) for side in order}
+            if written["parent"] != written["change"]:
+                print(f"rep {rep}: the scenario or sidecar bytes differ", file=sys.stderr)
+                return 1
+            if args.cli:
+                results = {side: sides[side].cli_rep(solves, Path(tmp, side)) for side in order}
+            else:
                 results = {side: sides[side].rep() for side in order}
-                if results["parent"] != results["change"]:
-                    print(f"rep {rep}: the fronts, bounds, budgets or multiplier traces differ", file=sys.stderr)
-                    return 1
-                print(f"rep {rep}: solve parent {sides['parent'].times[-1]:.4f} s, change "
-                      f"{sides['change'].times[-1]:.4f} s; setup parent {sides['parent'].setup_times[-1]:.4f} s, "
-                      f"change {sides['change'].setup_times[-1]:.4f} s", file=sys.stderr)
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+            if results["parent"] != results["change"]:
+                what = "front.csv or bounds.csv" if args.cli else "fronts, bounds, budgets or multiplier traces"
+                print(f"rep {rep}: the {what} differ", file=sys.stderr)
+                return 1
+            print(f"rep {rep}: solve parent {sides['parent'].times[-1]:.4f} s, change "
+                  f"{sides['change'].times[-1]:.4f} s; setup parent {sides['parent'].setup_times[-1]:.4f} s, "
+                  f"change {sides['change'].setup_times[-1]:.4f} s", file=sys.stderr)
 
-    print(f"{args.workload}: {args.reps} reps, seed {args.seed}, fronts, bounds, budgets, "
-          "multiplier traces, scenarios and sidecars equal in every rep")
-    summary("solve", sides["parent"].times, sides["change"].times)
+    equal = "front.csv and bounds.csv" if args.cli else "fronts, bounds, budgets, multiplier traces"
+    print(f"{args.workload}: {args.reps} reps, seed {args.seed}, {equal}, scenarios and sidecars equal in every rep")
+    summary("solve command" if args.cli else "solve", sides["parent"].times, sides["change"].times)
     summary("setup", sides["parent"].setup_times, sides["change"].setup_times)
     return 0
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark on a parent revision and on HEAD in alternating pairs.
 
-Checks PARENT_REV and HEAD out into temporary git worktrees and runs
+Exports the committed files of PARENT_REV and HEAD to temporary directories and runs
 ``bench/run.py --seed N`` in each, once per side per pair; the parent runs
 first in even pairs and HEAD in odd ones. Writes one JSON file (rewritten
 after every pair) with, per side, the median and quartiles of every metric of
@@ -35,6 +35,13 @@ SIDES = ("parent", "change")
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """Write the committed files of ``rev`` to the new directory ``dest``."""
+    dest.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def run_bench(tree: Path, seed: int) -> dict:
@@ -96,30 +103,26 @@ def main(argv=None) -> int:
     out = Path(args.out)
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {}
-        try:
-            for side in SIDES:
-                git("worktree", "add", "--detach", str(Path(tmp, side)), revs[side])
-                trees[side] = Path(tmp, side)
-            readme = (trees["change"] / "bench" / "README.md").read_text()
-            listed = [f"{w} {i}: front.csv {f} bounds.csv {b}" for w, i, f, b in README_ROW.findall(readme)]
-            for pair in range(args.pairs):
-                order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                for position, side in enumerate(order):
-                    print(f"pair {pair}: {side}", file=sys.stderr, flush=True)
-                    run = run_bench(trees[side], args.seed)
-                    result["runs"][side].append({"pair": pair, "ran_second": position == 1, **run})
-                runs = [run for side in SIDES for run in result["runs"][side]]
-                result["pairs"] = pair + 1
-                result["summary"] = {side: summarize(result["runs"][side]) for side in SIDES}
-                result["hashes"] = {
-                    "identical_in_every_run": all(run["hashes"] == runs[0]["hashes"] for run in runs),
-                    "as_in_bench_readme": (all(run["hashes"] == listed for run in runs)
-                                           if args.seed == 0 else None),
-                }
-                out.write_text(json.dumps(result, indent=1) + "\n")
-        finally:
-            for tree in trees.values():
-                git("worktree", "remove", "--force", str(tree))
+        for side in SIDES:
+            trees[side] = Path(tmp, side)
+            export(revs[side], trees[side])
+        readme = (trees["change"] / "bench" / "README.md").read_text()
+        listed = [f"{w} {i}: front.csv {f} bounds.csv {b}" for w, i, f, b in README_ROW.findall(readme)]
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                print(f"pair {pair}: {side}", file=sys.stderr, flush=True)
+                run = run_bench(trees[side], args.seed)
+                result["runs"][side].append({"pair": pair, "ran_second": position == 1, **run})
+            runs = [run for side in SIDES for run in result["runs"][side]]
+            result["pairs"] = pair + 1
+            result["summary"] = {side: summarize(result["runs"][side]) for side in SIDES}
+            result["hashes"] = {
+                "identical_in_every_run": all(run["hashes"] == runs[0]["hashes"] for run in runs),
+                "as_in_bench_readme": (all(run["hashes"] == listed for run in runs)
+                                       if args.seed == 0 else None),
+            }
+            out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {out}: {result['pairs']} pairs", file=sys.stderr)
     return 0 if all(run["exit"] == 0 for side in SIDES for run in result["runs"][side]) else 1
 

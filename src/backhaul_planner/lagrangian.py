@@ -25,11 +25,9 @@ the move the full rescan picks. The scalar ``delta_attach_ban`` and
 ``_insert_delta`` stay as the reference the tests hold the table to.
 
 At all-zero multipliers the relaxed objective is plain weighted uncoverage
-(Fisher 1981), and the front search prices every deployment there. Then every
-coverage coefficient is exactly -1 and no splice drops coverage, so the table
-prices each move as ``-min(cap, avail)`` and skips the multiplier terms. That
-is the scalar delta for a move that covers something, and one of +-0 for one
-that covers nothing, which ties and sums the same.
+(Fisher 1981), and the front search prices every deployment there. Then the
+greedy needs no table (``_CoverageGreedy``): a move covers
+``min(limit, avail)``, so it keeps each SBS's largest legal parent limit.
 """
 
 from __future__ import annotations
@@ -112,11 +110,14 @@ class Workspace:
         self.limit_ban_sbs = np.asarray(tables.ban_sbs_limit, dtype=int).reshape(self.n_ban, self.n_sbs)
         self.limit_sbs_sbs = np.asarray(tables.sbs_sbs_limit, dtype=int).reshape(self.n_sbs, self.n_sbs)
         self.cap_ban_ma = tables.ban_ma_capacity
-        # the move table's float forms; every entry is a small integer, so
+        # the assignment's float forms; every entry is a small integer, so
         # their sums, minima and products are exact
-        self.reach_f = self.sbs_mask.astype(float)
+        # row s: which SBSs reach subarea s
+        self.reach_t = np.ascontiguousarray(self.sbs_mask.T, dtype=float)
         # link limits out of BAN k (row k) and SBS u (row n_ban + u)
         self.out_f = np.concatenate((self.limit_ban_sbs, self.limit_sbs_sbs)).astype(float)
+        # row i: every parent's link limit into SBS i, as Python floats
+        self.into_rows = self.out_f.T.tolist()
         # row u: every SBS's link limit into SBS u
         self.into_sbs_f = np.ascontiguousarray(self.limit_sbs_sbs.T, dtype=float)
 
@@ -478,29 +479,19 @@ class _MoveTable:
     and in their order (IEEE addition commutes and ``x - y`` is ``x + (-y)``),
     so each delta equals the scalar one bit for bit. ``base`` is inf for an
     illegal move and in the column of an SBS that is closed or attached.
+    ``cap``, ``freed``, ``held`` and ``avail`` are floats holding small
+    integers, so their sums, minima and products are exact.
 
     A step changes one chain's rows, at most one BAN's legality and the
     ``avail`` of some SBSs, so only that chain's terms are rewritten.
-
-    When every multiplier is zero (``plain``; -0.0 counts as zero), each
-    ``coeff`` is exactly -1.0 and ``coeff_old + lam = -1 < 0`` drops nothing,
-    so ``freed`` is 0 and ``base`` is +-0 or inf. A row then keeps only
-    ``cap`` and the legality in ``base`` (0 or inf), and is priced as
-    ``base - min(cap, avail)``. For a move covering r > 0 subareas both forms
-    give -r; for r = 0 they differ at most in the sign of a zero, which
-    compares equal in the tie order and leaves the summed value unchanged
-    (the running value starts as a difference, so it is never -0.0).
-    ``cap``, ``freed``, ``held`` and ``avail`` are floats holding small
-    integers, so their sums, minima and products are exact.
     """
 
     def __init__(self, state: PathState, bans: list[int], sbss: list[int]):
         ws = self.ws = state.ws
         self.state = state
         self.lam = np.asarray(state.lam, dtype=float)
-        self.plain = not self.lam.any()  # -0.0 counts as zero
         self.neg_lam = -self.lam
-        self.avail = ws.reach_f @ ~state.covered
+        self.avail = ~state.covered @ ws.reach_t
         self.gone = np.ones(ws.n_sbs, dtype=bool)  # closed or attached
         self.gone[sbss] = False
         # row i: how many of the subareas SBS i covers each column reaches
@@ -523,22 +514,17 @@ class _MoveTable:
 
         self.cap[:n] = ws.out_f[bans]
         np.multiply(self.neg_lam, self.cap[:n], out=self.base[:n])
-        if not self.plain:
-            self.coeff[:n] = self.lam - 1.0
-            self.cap[:n, self.lam > 1] = 0
+        self.coeff[:n] = self.lam - 1.0
+        self.cap[:n, self.lam > 1] = 0
         np.copyto(self.base[:n], np.inf, where=self.gone)
         self.base[[r for r, k in enumerate(bans) if state.slots.get(k, 0) >= ws.scenario.ban_slots]] = np.inf
 
     def best(self) -> Optional[Move]:
         """The least move by ``Move.sort_key``, or None if none is legal."""
         n = self.used
-        if self.plain:
-            r_new = np.minimum(self.cap[:n], self.avail)
-            dv = self.base[:n] - r_new
-        else:
-            r_new = np.minimum(self.cap[:n], self.avail + self.freed[:n])
-            dv = self.coeff[:n] * r_new
-            dv += self.base[:n]
+        r_new = np.minimum(self.cap[:n], self.avail + self.freed[:n])
+        dv = self.coeff[:n] * r_new
+        dv += self.base[:n]
         # ties: the least SBS (the first least column), then kind and partner
         colmin = dv.min(axis=0)
         i = int(colmin.argmin())
@@ -563,7 +549,7 @@ class _MoveTable:
         if move.drops:
             self.avail += self.held[list(move.drops)].sum(axis=0)
             self.held[list(move.drops)] = 0
-        self.held[i] = self.ws.reach_f[:, state.assigned[i]].sum(axis=1)
+        self.held[i] = self.ws.reach_t.take(state.assigned[i], axis=0).sum(axis=0)
         self.avail -= self.held[i]
         chain = state.chain_of[i]
         if move.kind == "ban":
@@ -575,35 +561,22 @@ class _MoveTable:
 
     def _price_chain(self, chain: Chain) -> None:
         """Rewrite the terms of the chain's rows; a full chain takes no SBS."""
-        ws = self.ws
+        ws, state, lam = self.ws, self.state, self.lam
         first = self.block[chain]
         nodes = chain.nodes
         if len(nodes) >= ws.max_hops:
             self.base[first : first + ws.max_hops] = np.inf
             return
         rows = slice(first, first + len(nodes) + 1)
-        # slot s's parent is the anchor for s = 0, else node s - 1
-        ws.out_f.take([chain.ban] + [ws.n_ban + u for u in nodes], axis=0, out=self.cap[rows])
-        if self.plain:
-            self.base[rows] = 0.0
-            downstream = []
-        else:
-            downstream = self._price_multipliers(chain, rows)
-        np.copyto(self.base[rows], np.inf, where=self.gone)
-        self.label[rows] = [("before", u, downstream[k:]) for k, u in enumerate(nodes)] + [("after", nodes[-1], ())]
-        self.order[rows] = [self.span + u for u in nodes] + [2 * self.span + nodes[-1]]
-
-    def _price_multipliers(self, chain: Chain, rows: slice) -> list:
-        """Write the multiplier terms of the chain's rows over their ``cap``:
-        ``base``, ``coeff`` and ``freed``; returns (node, drop mask) per node."""
-        state, lam = self.state, self.lam
         base, coeff, cap, freed = self.base[rows], self.coeff[rows], self.cap[rows], self.freed[rows]
+        # slot s's parent is the anchor for s = 0, else node s - 1
+        ws.out_f.take([chain.ban] + [ws.n_ban + u for u in nodes], axis=0, out=cap)
         np.multiply(self.neg_lam, cap, out=base)
         freed.fill(0)
         downstream = []
-        for k, u in enumerate(chain.nodes):
+        for k, u in enumerate(nodes):
             # before node k: its parent's limit to it falls to the new node's
-            base[k] += state.lam[u] * (cap[k, u] - self.ws.into_sbs_f[u])
+            base[k] += state.lam[u] * (cap[k, u] - ws.into_sbs_f[u])
             # node k is downstream of slots 0..k
             coeff_old = chain.prefix[k] + state.lam[u] - 1.0
             r_u = state.r(u)
@@ -617,7 +590,89 @@ class _MoveTable:
         np.add.outer(chain.prefix, lam, out=coeff)
         coeff -= 1.0
         cap[coeff > 0] = 0
-        return downstream
+        np.copyto(base, np.inf, where=self.gone)
+        self.label[rows] = [("before", u, downstream[k:]) for k, u in enumerate(nodes)] + [("after", nodes[-1], ())]
+        self.order[rows] = [self.span + u for u in nodes] + [2 * self.span + nodes[-1]]
+
+
+class _CoverageGreedy:
+    """The greedy at all-zero multipliers (-0.0 counts as zero), with
+    ``_MoveTable``'s ``best`` and ``apply``. No splice drops coverage there,
+    and moving SBS i into a slot whose parent is row p of ``ws.out_f`` covers
+    ``v = min(out_f[p, i], avail_i)`` for the delta ``0.0 - v``: the scalar
+    delta up to the sign of a zero, which ties and sums the same (the running
+    value starts as a difference, so it is never -0.0).
+
+    The legal slots: the direct attach to each BAN in ``free`` and, in each
+    chain below ``max_hops``, the slot before each node (``before``: node ->
+    the slot's parent row) and after the last (``after``: node -> its row).
+    ``top`` is each column's largest limit over these parent rows; a new
+    parent raises it, and a BAN or chain that fills makes it be recomputed.
+    A step takes the first column maximizing ``min(top, avail)`` (negative
+    for a closed or attached SBS), then the least slot by kind and partner
+    whose parent's limit is at least that ``v``: exactly the moves covering
+    ``v``. ``top`` and ``avail`` hold small integers, so they are exact.
+    """
+
+    def __init__(self, state: PathState, bans: list[int], sbss: list[int]):
+        ws = self.ws = state.ws
+        self.state = state
+        self.avail = np.full(ws.n_sbs, -1.0)
+        self.avail[sbss] = (~state.covered @ ws.reach_t)[sbss]
+        self.free = [k for k in bans if state.slots.get(k, 0) < ws.scenario.ban_slots]
+        self.before: dict[int, int] = {}
+        self.after: dict[int, int] = {}
+        self._recompute()
+
+    def _recompute(self) -> None:
+        rows = [*self.free, *self.before.values(), *self.after.values()]
+        self.top = self.ws.out_f[rows].max(axis=0) if rows else np.full(self.ws.n_sbs, -1.0)
+
+    def best(self) -> Optional[Move]:
+        """The least move by ``Move.sort_key``, or None if none is legal."""
+        score = np.minimum(self.top, self.avail)
+        i = int(score.argmax())
+        v = score.item(i)
+        if v < 0:
+            return None
+        limit = self.ws.into_rows[i]
+        r = int(v)
+        for k in self.free:
+            if limit[k] >= v:
+                return Move(0.0 - r, i, "ban", k, r)
+        u = min((u for u, p in self.before.items() if limit[p] >= v), default=None)
+        if u is not None:
+            return Move(0.0 - r, i, "before", u, r)
+        return Move(0.0 - r, i, "after", min(u for u, p in self.after.items() if limit[p] >= v), r)
+
+    def apply(self, move: Move) -> None:
+        """Apply ``move`` to the state and update ``avail``, the slots and ``top``."""
+        ws, state, i, p = self.ws, self.state, move.sbs, move.partner
+        apply_move(state, move)
+        self.avail[i] = -1.0
+        if move.r_new:
+            self.avail -= np.add.reduce(ws.reach_t.take(state.assigned[i], axis=0))
+        row = ws.n_ban + i
+        nodes = state.chain_of[i].nodes
+        filled = move.kind == "ban" and state.slots[p] >= ws.scenario.ban_slots
+        if filled:
+            self.free.remove(p)
+        if len(nodes) >= ws.max_hops:
+            if move.kind != "ban":  # the chain's slots close
+                for u in nodes:
+                    self.before.pop(u, None)
+                self.after.pop(p if move.kind == "after" else nodes[-1])
+                filled = True
+        elif move.kind == "ban":
+            self.before[i], self.after[i] = p, row
+        elif move.kind == "before":  # i takes p's slot and parents p's new one
+            self.before[i], self.before[p] = self.before[p], row
+        else:  # after the last node p: i takes p's slot and parents a new one
+            self.before[i], self.after[i] = self.after.pop(p), row
+        if filled:
+            self._recompute()
+        elif len(nodes) < ws.max_hops:
+            np.maximum(self.top, ws.out_f[row], out=self.top)
 
 
 def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> AssignResult:
@@ -635,7 +690,8 @@ def _assign(ws: Workspace, deployment: Deployment, multipliers: Multipliers) -> 
 
     unattached = deployment.open_sbss() if ws.allow_stations else []
     bans = deployment.open_bans()
-    table = _MoveTable(state, bans, unattached) if unattached and bans else None
+    greedy = _MoveTable if any(multipliers) else _CoverageGreedy  # -0.0 counts as zero
+    table = greedy(state, bans, unattached) if unattached and bans else None
     while table and unattached:
         move = table.best()
         if move is None:

@@ -266,14 +266,19 @@ def check_feasibility(
         if j not in plan.ma_parent:
             add(Violation("ma-backhaul", (j,), f"open ma {j} has no backhaul link"))
 
-    # routing integrity and hop budget for every covered subarea
+    # routing integrity and hop budget per covered subarea, one root path per SBS
     max_hops = scenario.max_relays + 1
     paths = []
+    path_of: dict[int, list[ParentRef] | IntegrityError] = {}
     for subarea, sbs in sorted(plan.sbs_cover.items()):
-        try:
-            path = root_path(plan, sbs)
-        except IntegrityError as exc:
-            add(Violation("routing-integrity", (subarea, sbs), str(exc)))
+        if sbs not in path_of:
+            try:
+                path_of[sbs] = root_path(plan, sbs)
+            except IntegrityError as exc:
+                path_of[sbs] = exc
+        path = path_of[sbs]
+        if isinstance(path, IntegrityError):
+            add(Violation("routing-integrity", (subarea, sbs), str(path)))
             continue
         hops = len(path) - 1
         if hops > max_hops:

@@ -20,6 +20,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass, fields
 from functools import cache, cached_property
+from itertools import repeat
 from typing import Optional, Sequence
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -511,13 +512,11 @@ def resolve_theta(scenario: Scenario, theta: Optional[float]) -> float:
     return scenario.radio.mtc_weight if theta is None else theta
 
 
-def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def _distances(pos: tuple[float, float], points: Sequence[tuple[float, float]]) -> tuple[float, ...]:
-    px, py = pos
-    return tuple(math.hypot(px - x, py - y) for x, y in points)
+    """Distance from ``pos`` to each point. ``math.dist`` takes the same
+    differences and norm as ``math.hypot(px - x, py - y)``, without a Python
+    frame per point."""
+    return tuple(map(math.dist, repeat(pos), points))
 
 
 def _within(row: tuple[float, ...], radius: float) -> tuple[int, ...]:
@@ -548,7 +547,7 @@ def derive_tables(scenario: Scenario) -> DerivedTables:
     sbs_bh = backhaul_link(radio, "sbs")
 
     def capacity(src: tuple[float, float], dst: tuple[float, float], link: LinkSpec) -> float:
-        return backhaul_capacity_bps(radio, max(_distance(src, dst), 1e-6), link)
+        return backhaul_capacity_bps(radio, max(math.dist(src, dst), 1e-6), link)
 
     ban_sbs_capacity = tuple(tuple(capacity(p, q, ban_bh) for q in sbs_pos) for p in ban_pos)
     ban_ma_capacity = tuple(tuple(capacity(p, q, ban_bh) for q in ma_pos) for p in ban_pos)

@@ -238,6 +238,21 @@ class TestAssignConnections:
         assert a[0].sbs_parent == b[0].sbs_parent and a[0].sbs_cover == b[0].sbs_cover
 
 
+def moves_made(assign, ws, dep, lam) -> list:
+    """The ``(sbs, kind, partner, r_new)`` of every move ``assign`` applies, in order."""
+    moves = []
+    real_apply = lagrangian.apply_move
+
+    def spy(state, move):
+        moves.append((move.sbs, move.kind, move.partner, move.r_new))
+        real_apply(state, move)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lagrangian, "apply_move", spy)
+        assign(ws, dep, lam)
+    return moves
+
+
 def assert_same_as_reference(ws, dep, lam):
     got = _assign(ws, dep, lam)
     ref = reference_assign(ws, dep, lam)
@@ -310,24 +325,30 @@ class TestIncrementalAssign:
         ):
             assert_same_as_reference(ws, everything, lam)
 
-    @pytest.mark.parametrize("case, plain", [("negative-zero", True), ("subnormal", False), ("one-large", False)])
-    def test_pricing_branch_boundary(self, monkeypatch, case, plain):
-        # all-zero multipliers (-0.0 included) price plain coverage; one
-        # positive multiplier, however small, takes the general path, and
-        # one of 1.5 makes the greedy drop downstream coverage
+    @pytest.mark.parametrize("case, zero", [("negative-zero", True), ("subnormal", False), ("one-large", False)])
+    def test_pricing_branch_boundary(self, monkeypatch, case, zero):
+        # all-zero multipliers (-0.0 included) take the zero-multiplier
+        # greedy; one positive multiplier, however small, takes the move
+        # table, and one of 1.5 makes the greedy drop downstream coverage
         pricings, applied = [], []
         real_apply = lagrangian.apply_move
 
-        class Recording(lagrangian._MoveTable):
+        class RecordingTable(lagrangian._MoveTable):
             def __init__(self, *args):
                 super().__init__(*args)
-                pricings.append(self.plain)
+                pricings.append(False)
+
+        class RecordingGreedy(lagrangian._CoverageGreedy):
+            def __init__(self, *args):
+                super().__init__(*args)
+                pricings.append(True)
 
         def spy(state, move):
             applied.append(move)
             real_apply(state, move)
 
-        monkeypatch.setattr(lagrangian, "_MoveTable", Recording)
+        monkeypatch.setattr(lagrangian, "_MoveTable", RecordingTable)
+        monkeypatch.setattr(lagrangian, "_CoverageGreedy", RecordingGreedy)
         monkeypatch.setattr(lagrangian, "apply_move", spy)
         dense = generate_scenario(dataclasses.replace(preset_gen_params("paper-fig2"), n_sbs=30, n_ma=5), 0)
         instances = [(dense, cached_tables(dense))] + [tiny_instance(seed, n_sbs=6, busy=True) for seed in range(10)]
@@ -338,8 +359,44 @@ class TestIncrementalAssign:
             everything = Deployment.of(scenario, bans=range(len(scenario.ban_sites)), sbss=range(n),
                                        mas=range(len(scenario.ma_sites)))
             assert_same_as_reference(Workspace(scenario, tables, theta=THETA), everything, tuple(lam))
-        assert pricings == [plain] * len(instances)
+        assert pricings == [zero] * len(instances)
         assert any(m.drops for m in applied) == (case == "one-large")
+
+    @given(
+        seed=st.integers(0, 10**6),
+        n_sbs=st.integers(1, 6),
+        max_relays=st.sampled_from([0, 1]),
+        restrict=st.sampled_from(["none", "single-hop"]),
+        busy=st.booleans(),
+    )
+    def test_zero_multiplier_moves_when_slots_and_chains_fill(self, seed, n_sbs, max_relays, restrict, busy):
+        # one anchor slot per BAN and chains of at most two hops fill up, so
+        # the greedy loses parent rows and recomputes its best limits; it
+        # must make the full rescan's moves in the full rescan's order
+        scenario, tables = tiny_instance(seed, n_sbs=n_sbs, busy=busy, ban_slots=1, max_relays=max_relays)
+        ws = Workspace(scenario, tables, THETA, restrict)
+        dep = random_deployment(random.Random(seed), scenario, 0.8)
+        lam = zero_multipliers(scenario)
+        assert moves_made(_assign, ws, dep, lam) == moves_made(reference_assign, ws, dep, lam)
+        assert_same_as_reference(ws, dep, lam)
+
+    def test_filling_exercises_recompute(self, monkeypatch):
+        # make sure the settings above do make a parent row lose its last slot
+        recomputes = []
+        real_recompute = lagrangian._CoverageGreedy._recompute
+
+        def spy(self):
+            if hasattr(self, "top"):  # not the first one, in __init__
+                recomputes.append(self)
+            real_recompute(self)
+
+        monkeypatch.setattr(lagrangian._CoverageGreedy, "_recompute", spy)
+        for seed in range(40):
+            for max_relays in (0, 1):
+                scenario, tables = tiny_instance(seed, n_sbs=6, busy=True, ban_slots=1, max_relays=max_relays)
+                dep = random_deployment(random.Random(seed), scenario, 0.8)
+                _assign(Workspace(scenario, tables, THETA), dep, zero_multipliers(scenario))
+        assert recomputes
 
 
 class TestMoveDeltas:

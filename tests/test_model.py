@@ -310,6 +310,26 @@ class TestFeasibility:
         sol.plan.sbs_parent[0] = ("sbs", 1)
         assert "routing-integrity" in self.codes(sol, scenario, tables)
 
+    def test_broken_chain_and_cycle_reported_per_subarea(self, scenario, tables):
+        # SBSs 0 and 1 form a cycle, SBS 2 hangs off SBS 3, which has no
+        # parent; SBS 0 and SBS 3 cover two subareas each, so each of their
+        # subareas gets its own violation from the one root-path walk
+        dep = Deployment.of(scenario, bans=[0], sbss=[0, 1, 2, 3])
+        plan = ConnectionPlan(
+            sbs_cover={S_10_10: 0, S_30_10: 0, S_50_10: 1, S_50_30: 2, S_10_50: 3, S_30_50: 3},
+            sbs_parent={0: ("sbs", 1), 1: ("sbs", 0), 2: ("sbs", 3)},
+        )
+        assert [(v.code, v.subject, v.detail) for v in check_feasibility(Solution(dep, plan), scenario, tables)] == [
+            ("access-distance", (3, 6), "subarea 6 out of range of sbs 3"),
+            ("sbs-backhaul", (3,), "open sbs 3 has no backhaul link"),
+            ("routing-integrity", (0, 0), "cycle in backhaul forest at sbs 0"),
+            ("routing-integrity", (1, 0), "cycle in backhaul forest at sbs 0"),
+            ("routing-integrity", (2, 1), "cycle in backhaul forest at sbs 1"),
+            ("routing-integrity", (5, 2), "sbs 2 has no path to a BAN (chain breaks at sbs 3)"),
+            ("routing-integrity", (6, 3), "sbs 3 has no path to a BAN (chain breaks at sbs 3)"),
+            ("routing-integrity", (7, 3), "sbs 3 has no path to a BAN (chain breaks at sbs 3)"),
+        ]
+
     def test_budget_cap(self, scenario, tables):
         sol = chain_solution(scenario)
         assert "budget" in self.codes(sol, scenario, tables, budget=5.0)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from backhaul_planner import (
     GenParams,
@@ -25,6 +25,7 @@ from backhaul_planner import (
 from backhaul_planner.scenario import (
     MAX_GRID_CELLS,
     Machine,
+    _distances,
     ScenarioFormatError,
     indented_json,
     load_scenario,
@@ -161,7 +162,16 @@ class TestPointChecks:
         scenario_with_point(role, x=10, y=np.float64(0.0), amount=Fraction(1, 3))
 
 
+COORDINATES = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308, 2.0**53 + 2]))
+
+
 class TestDerivedTables:
+    @given(pos=st.tuples(COORDINATES, COORDINATES), points=st.lists(st.tuples(COORDINATES, COORDINATES), max_size=8))
+    @example(pos=(-0.0, 0.0), points=[(0.0, -0.0), (-0.0, -0.0), (1e308, -1e308), (-1e308, 1e308)])
+    def test_distance_rows_match_hypot_bit_for_bit(self, pos, points):
+        expected = [math.hypot(pos[0] - x, pos[1] - y) for x, y in points]
+        assert [d.hex() for d in _distances(pos, points)] == [d.hex() for d in expected]
+
     def test_radii_shared_within_role(self):
         scenario, tables = tiny_instance(11)
         # all stations of one role share the link budget, so one radius each

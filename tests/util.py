@@ -48,6 +48,8 @@ def tiny_gen_params(
     n_ma=None,
     n_machines=None,
     busy: bool = False,
+    ban_slots=None,
+    max_relays=2,
 ) -> GenParams:
     """Oracle-sized instance; ``busy`` raises the user density so backhaul
     subarea limits actually bind."""
@@ -68,8 +70,8 @@ def tiny_gen_params(
         n_ma=rng.randint(0, 2) if n_ma is None else n_ma,
         n_machines=rng.randint(0, 12) if n_machines is None else n_machines,
         machine_rate_bps=5e4,
-        ban_slots=rng.randint(2, 5),
-        max_relays=2,
+        ban_slots=rng.randint(2, 5) if ban_slots is None else ban_slots,
+        max_relays=max_relays,
         radio=radio,
     )
 
