@@ -35,7 +35,6 @@ import importlib.util
 import json
 import shutil
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -46,18 +45,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from backhaul_planner import cli  # noqa: E402
+from bench_pairs import export, git  # noqa: E402
 from workload import WORKLOADS  # noqa: E402
-
-
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
-
-
-def export(rev: str, dest: Path) -> None:
-    """Write the committed files of ``rev`` to the new directory ``dest``."""
-    dest.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def load_package(src: Path, name: str):
